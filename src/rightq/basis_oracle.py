@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .rewrite import SYSTEM_S, reduce_biword
-from .words import Biword
+from .words import Biword, _at_least
 
 DEFAULT_BUDGET = 10**6
 
@@ -200,6 +200,8 @@ def check_basis_dimension(
     r: int, n: int, q_value="one", budget: int = DEFAULT_BUDGET
 ) -> DimensionReport:
     """Compare the relation-space codimension with the irreducible count."""
+    _at_least(1, r=r)
+    _at_least(0, degree=n)
     ambient = r ** (2 * n)
     if ambient > budget:
         raise ValueError(

@@ -32,7 +32,7 @@ from .rewrite import (
 )
 from .textform import ParseError, parse_biword, parse_expression, print_expression
 from .weight import check_principle, phi, phi_inv
-from .words import Biword
+from .words import Biword, _at_least
 
 
 def _verbose() -> bool:
@@ -190,6 +190,8 @@ def _random_expression(rng: random.Random, r: int, max_len: int) -> Expression:
 
 
 def _cmd_check_principle(args) -> int:
+    _at_least(2, r=args.r)  # one letter has no reducible pair to build on
+    _at_least(1, trials=args.trials)
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):

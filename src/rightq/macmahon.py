@@ -20,7 +20,7 @@ from .rewrite import (
     SYSTEM_SQ,
     reduce,
 )
-from .words import Biword, inv
+from .words import Biword, _at_least, inv
 
 _VARIANTS = ("q", "one", "strong")
 
@@ -98,6 +98,8 @@ def qmm_check(
     the unit, which is the same degreewise condition).  Degree 0 must
     reduce to the unit and every higher degree to zero.
     """
+    _at_least(1, r=r)
+    _at_least(0, max_degree=max_degree)
     if _series_weighted(variant):
         system = SYSTEM_SQ
         f = ferm(r, "q")

@@ -21,8 +21,8 @@ reduce() runs a worklist over whole expressions.  Pending reducible
 biwords are bucketed by measure value and processed from the highest
 bucket down; since every new biword lands strictly lower, each distinct
 biword is rewritten at most once per call and its coefficient is final
-when its turn comes.  reduce_biword() is the per-biword normal form,
-memoized per (system, deterministic strategy).
+when its turn comes.  reduce_biword() and normal_form() read one memo of
+leftmost normal forms per system, filled without recursion by level.
 """
 
 import random
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .expressions import Expression
 from .laurent import Laurent, ONE, Q, Q_INV
-from .words import Biword
+from .words import Biword, _at_least
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -106,9 +106,6 @@ class Strategy:
 
     kind: str  # "leftmost" | "rightmost" | "random"
     seed: int | None = None
-
-    def is_deterministic(self) -> bool:
-        return self.kind != "random"
 
 
 LEFTMOST = Strategy("leftmost")
@@ -196,10 +193,7 @@ def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression
             f"position {position} is not interior to {bw}"
         )
     children, _ = _expand(bw, position - 1, system, bw.inv_plus())
-    out: dict[Biword, Laurent] = {}
-    for child, coeff, _level in children:
-        out[child] = coeff
-    return Expression._make(out)
+    return Expression._make({child: coeff for child, coeff, _ in children})
 
 
 def _choose(strategy: Strategy, spots: tuple[int, ...], rng) -> int:
@@ -232,6 +226,8 @@ def reduce(
     rng = random.Random(strategy.seed) if strategy.kind == "random" else None
     steps = 0
     max_terms = len(work)
+    if max_terms > term_cap:
+        raise TermCapExceeded(f"input expression exceeded {term_cap} terms")
     trace: list[TraceStep] | None = [] if keep_trace else None
     while buckets:
         level = max(buckets)
@@ -269,39 +265,51 @@ def reduce(
     )
 
 
-_NF_CACHES: dict[tuple[str, str], dict[Biword, dict[Biword, Laurent]]] = {}
+_NF_CACHES: dict[str, dict[Biword, dict[Biword, Laurent]]] = {}
 
 
 def clear_caches() -> None:
     _NF_CACHES.clear()
 
 
-def _nf_cached(
-    bw: Biword,
-    system: ReductionSystem,
-    take_first: bool,
-    cache: dict[Biword, dict[Biword, Laurent]],
-) -> dict[Biword, Laurent]:
-    hit = cache.get(bw)
-    if hit is not None:
-        return hit
-    spots = bw.double_descents()
-    if not spots:
-        result = {bw: ONE}
-    else:
-        position = spots[0] if take_first else spots[-1]
-        children, _ = _expand(bw, position - 1, system, bw.inv_plus())
-        result = {}
-        for child, coeff, _level in children:
-            for term, c in _nf_cached(child, system, take_first, cache).items():
-                s = result.get(term)
-                s = c * coeff if s is None else s + c * coeff
-                if s:
-                    result[term] = s
-                else:
-                    del result[term]
-    cache[bw] = result
-    return result
+def _accumulate(
+    acc: dict[Biword, Laurent], terms: dict[Biword, Laurent], scale: Laurent
+) -> None:
+    """acc += scale * terms, dropping cancelled terms."""
+    for term, k in terms.items():
+        s = acc.get(term)
+        s = k * scale if s is None else s + k * scale
+        if s:
+            acc[term] = s
+        else:
+            del acc[term]
+
+
+def _leftmost_nf(bw: Biword, system: ReductionSystem) -> dict[Biword, Laurent]:
+    """Leftmost normal form of bw, filling the memo for its uncached closure."""
+    memo = _NF_CACHES.setdefault(system.tag, {})
+    if bw in memo:
+        return memo[bw]
+    pending: dict[Biword, tuple[int, list]] = {}
+    stack = [(bw, bw.inv_plus())]
+    while stack:
+        cur, level = stack.pop()
+        if cur in memo or cur in pending:
+            continue
+        spots = cur.double_descents()
+        if not spots:
+            memo[cur] = {cur: ONE}
+            continue
+        children, _ = _expand(cur, spots[0] - 1, system, level)
+        pending[cur] = (level, children)
+        stack.extend((child, child_level) for child, _, child_level in children)
+    # Children lie strictly lower, so each is final when its parent resolves.
+    for cur, (_, children) in sorted(pending.items(), key=lambda kv: kv[1][0]):
+        result: dict[Biword, Laurent] = {}
+        for child, coeff, _ in children:
+            _accumulate(result, memo[child], coeff)
+        memo[cur] = result
+    return memo[bw]
 
 
 def reduce_biword(
@@ -309,29 +317,19 @@ def reduce_biword(
 ) -> Expression:
     """Normal form of a single biword.
 
-    Deterministic strategies are memoized per (system, strategy); the
-    random strategy goes through the unmemoized worklist so that fuzzing
-    exercises fresh rewrite paths.
+    Only the leftmost strategy is memoized; the others run the worklist,
+    so that fuzzing exercises fresh rewrite paths.
     """
-    if not strategy.is_deterministic():
+    if strategy.kind != "leftmost":
         return reduce(Expression.single(bw), system, strategy).normal_form
-    cache = _NF_CACHES.setdefault((system.tag, strategy.kind), {})
-    nf = _nf_cached(bw, system, strategy.kind == "leftmost", cache)
-    return Expression._make(dict(nf))
+    return Expression._make(dict(_leftmost_nf(bw, system)))
 
 
 def normal_form(expr: Expression, system: ReductionSystem) -> Expression:
     """Normal form of an expression via the memoized per-biword map."""
     acc: dict[Biword, Laurent] = {}
-    cache = _NF_CACHES.setdefault((system.tag, "leftmost"), {})
     for bw, c in expr._terms.items():
-        for term, k in _nf_cached(bw, system, True, cache).items():
-            s = acc.get(term)
-            s = k * c if s is None else s + k * c
-            if s:
-                acc[term] = s
-            else:
-                del acc[term]
+        _accumulate(acc, _leftmost_nf(bw, system), c)
     return Expression._make(acc)
 
 
@@ -363,6 +361,8 @@ def check_confluence_fuzz(
     r: int, max_len: int, trials: int, seed: int, system: ReductionSystem
 ) -> ConfluenceReport:
     """Compare leftmost and seeded-random normal forms on random biwords."""
+    _at_least(2, r=r, max_len=max_len)  # fewer leave nothing to rewrite
+    _at_least(1, trials=trials)
     rng = random.Random(seed)
     report = ConfluenceReport(r, max_len, trials, seed, system.tag)
     for _ in range(trials):

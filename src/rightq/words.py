@@ -68,6 +68,13 @@ def validate_word(word: Iterable[int], r: int) -> None:
             raise ValueError(f"letter {x} outside alphabet 1..{r}")
 
 
+def _at_least(least: int, **values: int) -> None:
+    """Raise ValueError naming the first argument below least."""
+    for name, value in values.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def format_word_pair(top: Word, bottom: Word) -> str:
     if not top and not bottom:
         return "e"

@@ -68,6 +68,41 @@ def test_normalize_term_cap_exit(capsys):
     assert "exceeded" in err
 
 
+def test_normalize_term_cap_covers_input(capsys):
+    code, out, err = run(capsys, "normalize", "--term-cap", "0", "12/12")
+    assert code == 1
+    assert out == ""
+    assert "exceeded" in err
+
+
+_CONFLUENCE = ["check", "confluence", "--seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["qmm", "--r", "2", "--max-degree", "-1"], "max_degree"),
+        (["qmm", "--r", "0", "--max-degree", "3"], "r"),
+        (_CONFLUENCE + ["--r", "3", "--max-len", "6", "--trials", "-5"], "trials"),
+        (_CONFLUENCE + ["--r", "3", "--max-len", "6", "--trials", "0"], "trials"),
+        (_CONFLUENCE + ["--r", "0", "--max-len", "6", "--trials", "5"], "r"),
+        (_CONFLUENCE + ["--r", "1", "--max-len", "6", "--trials", "5"], "r"),
+        (_CONFLUENCE + ["--r", "3", "--max-len", "-1", "--trials", "5"], "max_len"),
+        (_CONFLUENCE + ["--r", "3", "--max-len", "1", "--trials", "5"], "max_len"),
+        (["check", "principle", "--r", "2", "--trials", "-3", "--seed", "0"], "trials"),
+        (["check", "principle", "--r", "0", "--trials", "3", "--seed", "0"], "r"),
+        (["check", "principle", "--r", "1", "--trials", "3", "--seed", "0"], "r"),
+        (["basis", "--r", "2", "--degree", "-1"], "degree"),
+        (["basis", "--r", "0", "--degree", "2"], "r"),
+    ],
+)
+def test_verifiers_reject_empty_checks(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "ok\ttrue" not in out
+    assert err.startswith(f"error: {name} must be at least ")
+
+
 def test_trace_output(capsys):
     code, out, _ = run(capsys, "trace", "321/221")
     assert code == 0

@@ -263,6 +263,36 @@ def test_reduce_biword_memoization_is_stable():
     assert reduce_biword(target, SYSTEM_S) == first
 
 
+def test_memo_holds_exactly_the_leftmost_closure():
+    # 26 biwords are reachable from 321/321 by leftmost rewriting, and the
+    # 13 reducible ones among them have 27 children between them.
+    rightq.rewrite.clear_caches()
+    before = rightq.rewrite.measure_check_count()
+    reduce_biword(bw("321/321"), SYSTEM_S)
+    entries = sum(len(memo) for memo in rightq.rewrite._NF_CACHES.values())
+    assert entries == 26
+    assert rightq.rewrite.measure_check_count() - before == 27
+    reduce_biword(bw("321/321"), SYSTEM_S)
+    assert rightq.rewrite.measure_check_count() - before == 27
+
+
+_SWAP_CHAIN = Biword(tuple(range(60, 0, -1)), (1,) * 60)
+
+
+@pytest.mark.parametrize("system", [SYSTEM_S, SYSTEM_SQ], ids=["s", "sq"])
+def test_memo_paths_handle_long_swap_chain(system):
+    # 1,770 leftmost rewrites in a row, far deeper than the interpreter stack.
+    single = Expression.single(_SWAP_CHAIN)
+    expected = reduce(single, system).normal_form
+    rightq.rewrite.clear_caches()
+    assert reduce_biword(_SWAP_CHAIN, system) == expected
+    rightq.rewrite.clear_caches()
+    assert normal_form(single, system) == expected
+    rightq.rewrite.clear_caches()
+    assert in_ideal(single - expected, system)
+    assert not in_ideal(single, system)
+
+
 def test_in_ideal_examples():
     assert in_ideal(ex("21/21 - 12/12 - 12/21 + 21/12"), SYSTEM_S)
     assert in_ideal(ex("21/11 - 12/11"), SYSTEM_S)
@@ -309,6 +339,13 @@ def test_confluence_fuzz_small():
 def test_term_cap_enforced():
     with pytest.raises(TermCapExceeded):
         reduce(Expression.single(bw("321/321")), SYSTEM_S, term_cap=3)
+
+
+def test_term_cap_applies_to_the_input():
+    irreducible = Expression.single(bw("12/12"))
+    with pytest.raises(TermCapExceeded):
+        reduce(irreducible, SYSTEM_S, term_cap=0)
+    assert reduce(irreducible, SYSTEM_S, term_cap=1).normal_form == irreducible
 
 
 def test_rewrite_steps_deterministic_and_bounded():
