@@ -109,23 +109,33 @@ class Expression:
 
     def product(self, other: "Expression", max_degree: int | None = None) -> "Expression":
         """Concatenation product, dropping terms longer than max_degree."""
+        if max_degree is None:
+            max_degree = self.max_length() + other.max_length()
         out: dict[Biword, Laurent] = {}
-        for a, ca in self._terms.items():
-            la = len(a)
-            if max_degree is not None and la > max_degree:
-                continue
-            for b, cb in other._terms.items():
-                if max_degree is not None and la + len(b) > max_degree:
-                    continue
-                ab = a * b
-                c = ca * cb
-                s = out.get(ab)
-                s = c if s is None else s + c
-                if s:
-                    out[ab] = s
-                else:
-                    out.pop(ab, None)
+        for component in self.graded_product(other, max_degree):
+            out.update(component._terms)
         return Expression._make(out)
+
+    def graded_product(self, other: "Expression", max_degree: int):
+        """Components of self * other in degrees 0..max_degree, each summed
+        directly over self_k * other_(d-k), so no longer pair is visited."""
+        degrees = range(max_degree + 1)
+        left = [self.homogeneous_component(k)._terms for k in degrees]
+        right = [other.homogeneous_component(k)._terms for k in degrees]
+        for degree in degrees:
+            out: dict[Biword, Laurent] = {}
+            for k in range(degree + 1):
+                for a, ca in left[k].items():
+                    for b, cb in right[degree - k].items():
+                        ab = a * b
+                        c = ca * cb
+                        s = out.get(ab)
+                        s = c if s is None else s + c
+                        if s:
+                            out[ab] = s
+                        else:
+                            del out[ab]
+            yield Expression._make(out)
 
     def homogeneous_component(self, degree: int) -> "Expression":
         return Expression._make(

@@ -100,18 +100,12 @@ def qmm_check(
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree)
-    if _series_weighted(variant):
-        system = SYSTEM_SQ
-        f = ferm(r, "q")
-        b = bos(r, max_degree, "q")
-    else:
-        system = SYSTEM_S
-        f = ferm(r, "one")
-        b = bos(r, max_degree, "one")
-    product = f.product(b, max_degree=max_degree)
+    weighted = _series_weighted(variant)
+    system = SYSTEM_SQ if weighted else SYSTEM_S
+    series = "q" if weighted else "one"
+    f, b = ferm(r, series), bos(r, max_degree, series)
     rows: list[DegreeResult] = []
-    for degree in range(max_degree + 1):
-        component = product.homogeneous_component(degree)
+    for degree, component in enumerate(f.graded_product(b, max_degree)):
         report = reduce(component, system, term_cap=term_cap)
         target = Expression.unit() if degree == 0 else Expression.zero()
         rows.append(

@@ -14,8 +14,12 @@ and the q-weighted system "sq" by
 
 Every replacement strictly lowers the measure imv(bottom) + inv(top):
 the three branches above drop it by exactly 2, 1, 1 and the swap branch
-by 1.  The engine checks the drop on every rewrite and treats a
-violation as internal corruption.
+by 1.  A replacement only rearranges the pair's own letters, so the drop
+is the same in every context: each system computes it once from the
+bare pair, and a child's measure is its parent's less that drop.  The
+engine checks the drop on every rewrite and treats a violation as
+internal corruption.  The plain system computes with int coefficients;
+Laurent values appear only in the expressions returned.
 
 reduce() runs a worklist over whole expressions.  Pending reducible
 biwords are bucketed by measure value and processed from the highest
@@ -35,9 +39,6 @@ from .words import Biword, _at_least
 
 DEFAULT_TERM_CAP = 10_000_000
 
-_MINUS_ONE = Laurent.integer(-1)
-_MINUS_Q_INV = Laurent.q_power(-1, -1)
-
 
 class NotADoubleDescent(ValueError):
     """Raised when a rewrite is requested at a position with no double descent."""
@@ -51,38 +52,43 @@ class TermCapExceeded(RuntimeError):
     """Raised when an intermediate expression outgrows the configured cap."""
 
 
-class ReductionSystem:
-    """One of the two rule tables, identified by tag "s" or "sq"."""
+# The weighted rules above as (top, bottom, coefficient) replacing
+# (x y / a b), keyed by a == b; the plain rules are their values at q = 1.
+_RULES = {
+    True: (("yx", "aa", Q),),
+    False: (("yx", "ba", ONE), ("yx", "ab", Q), ("xy", "ba", -Q_INV)),
+}
 
-    __slots__ = ("tag",)
+
+class ReductionSystem:
+    """One of the two rule tables, identified by tag "s" or "sq".
+
+    stencil[a == b]: (top swapped, bottom swapped, coefficient, measure
+    drop) per replacement of (x y / a b), with int coefficients under "s".
+    """
+
+    __slots__ = ("tag", "stencil")
 
     def __init__(self, tag: str):
         if tag not in ("s", "sq"):
             raise ValueError(f"unknown reduction system {tag!r}")
         self.tag = tag
-
-    def local_terms(
-        self, x: int, y: int, a: int, b: int
-    ) -> tuple[tuple[tuple[int, int], tuple[int, int], Laurent], ...]:
-        """Replacement for the two columns (x y / a b), as
-        ((new top pair, new bottom pair, coefficient), ...).
-
-        Requires x > y and a >= b.
-        """
-        if a == b:
-            c = Q if self.tag == "sq" else ONE
-            return (((y, x), (a, a), c),)
-        if self.tag == "sq":
-            return (
-                ((y, x), (b, a), ONE),
-                ((y, x), (a, b), Q),
-                ((x, y), (b, a), _MINUS_Q_INV),
-            )
-        return (
-            ((y, x), (b, a), ONE),
-            ((y, x), (a, b), ONE),
-            ((x, y), (b, a), _MINUS_ONE),
-        )
+        self.stencil = {}
+        for equal, rules in _RULES.items():
+            pair = Biword((2, 1), (1, 1) if equal else (2, 1))  # (x y / a b)
+            letter = dict(zip("xyab", pair.top + pair.bottom))
+            self.stencil[equal] = entries = []
+            for top, bottom, weighted in rules:
+                child = Biword(map(letter.get, top), map(letter.get, bottom))
+                # A rearrangement of the pair changes no inversion with its
+                # context, so the drop holds wherever the pair sits.
+                if (sorted(child.top), sorted(child.bottom)) != (
+                    sorted(pair.top), sorted(pair.bottom)
+                ):
+                    raise AssertionError(f"{top}/{bottom} does not rearrange xy/ab")
+                swaps = int(child.top != pair.top), int(child.bottom != pair.bottom)
+                coeff = weighted if tag == "sq" else weighted.eval_at_one()
+                entries.append((*swaps, coeff, pair.inv_plus() - child.inv_plus()))
 
     def __repr__(self) -> str:
         return f"ReductionSystem({self.tag!r})"
@@ -155,7 +161,7 @@ def measure_check_count() -> int:
 
 def _expand(
     bw: Biword, pos0: int, system: ReductionSystem, parent_level: int
-) -> tuple[list[tuple[Biword, Laurent, int]], str]:
+) -> tuple[list[tuple[Biword, "Laurent | int", int]], str]:
     """Apply the local rule at 0-based position pos0.
 
     Returns ((child biword, rule coefficient, child measure), ...) plus
@@ -169,13 +175,14 @@ def _expand(
         raise NotADoubleDescent(
             f"position {pos0 + 1} of {bw} has no double descent"
         )
+    tops, bottoms = ((x, y), (y, x)), ((a, b), (b, a))
     out = []
-    for t2, b2, coeff in system.local_terms(x, y, a, b):
+    for ti, bi, coeff, drop in system.stencil[a == b]:
         child = Biword._make(
-            top[:pos0] + t2 + top[pos0 + 2 :],
-            bottom[:pos0] + b2 + bottom[pos0 + 2 :],
+            top[:pos0] + tops[ti] + top[pos0 + 2 :],
+            bottom[:pos0] + bottoms[bi] + bottom[pos0 + 2 :],
         )
-        level = child.inv_plus()
+        level = parent_level - drop
         _measure_checks += 1
         if level >= parent_level:
             raise AssertionError(
@@ -193,7 +200,7 @@ def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression
             f"position {position} is not interior to {bw}"
         )
     children, _ = _expand(bw, position - 1, system, bw.inv_plus())
-    return Expression._make({child: coeff for child, coeff, _ in children})
+    return Expression({child: coeff for child, coeff, _ in children})
 
 
 def _choose(strategy: Strategy, spots: tuple[int, ...], rng) -> int:
@@ -218,7 +225,9 @@ def reduce(
     coefficient.  Rewrite counts and the optional trace are therefore
     deterministic for deterministic strategies.
     """
-    work: dict[Biword, Laurent] = dict(expr._terms)
+    work: dict[Biword, Laurent | int] = dict(expr._terms)
+    if all(c._terms.keys() == {0} for c in work.values()):
+        work = {bw: c._terms[0] for bw, c in work.items()}
     buckets: dict[int, set[Biword]] = {}
     for bw in work:
         if not bw.is_irreducible():
@@ -258,24 +267,23 @@ def reduce(
                 max_terms = len(work)
     return ReductionReport(
         input=expr,
-        normal_form=Expression._make(work),
+        normal_form=Expression(work),
         rewrite_steps=steps,
         max_intermediate_terms=max_terms,
         trace=trace,
     )
 
 
-_NF_CACHES: dict[str, dict[Biword, dict[Biword, Laurent]]] = {}
+# Leftmost normal forms per system tag, with int coefficients under "s".
+_NF_CACHES: dict[str, dict[Biword, dict[Biword, Laurent | int]]] = {}
 
 
 def clear_caches() -> None:
     _NF_CACHES.clear()
 
 
-def _accumulate(
-    acc: dict[Biword, Laurent], terms: dict[Biword, Laurent], scale: Laurent
-) -> None:
-    """acc += scale * terms, dropping cancelled terms."""
+def _accumulate(acc: dict, terms: dict, scale: "Laurent | int") -> None:
+    """acc += scale * terms, dropping cancelled terms, within the term cap."""
     for term, k in terms.items():
         s = acc.get(term)
         s = k * scale if s is None else s + k * scale
@@ -283,13 +291,16 @@ def _accumulate(
             acc[term] = s
         else:
             del acc[term]
+    if len(acc) > DEFAULT_TERM_CAP:
+        raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
 
 
-def _leftmost_nf(bw: Biword, system: ReductionSystem) -> dict[Biword, Laurent]:
+def _leftmost_nf(bw: Biword, system: ReductionSystem) -> dict:
     """Leftmost normal form of bw, filling the memo for its uncached closure."""
     memo = _NF_CACHES.setdefault(system.tag, {})
     if bw in memo:
         return memo[bw]
+    one = ONE if system.tag == "sq" else 1
     pending: dict[Biword, tuple[int, list]] = {}
     stack = [(bw, bw.inv_plus())]
     while stack:
@@ -298,14 +309,14 @@ def _leftmost_nf(bw: Biword, system: ReductionSystem) -> dict[Biword, Laurent]:
             continue
         spots = cur.double_descents()
         if not spots:
-            memo[cur] = {cur: ONE}
+            memo[cur] = {cur: one}
             continue
         children, _ = _expand(cur, spots[0] - 1, system, level)
         pending[cur] = (level, children)
         stack.extend((child, child_level) for child, _, child_level in children)
     # Children lie strictly lower, so each is final when its parent resolves.
     for cur, (_, children) in sorted(pending.items(), key=lambda kv: kv[1][0]):
-        result: dict[Biword, Laurent] = {}
+        result: dict[Biword, Laurent | int] = {}
         for child, coeff, _ in children:
             _accumulate(result, memo[child], coeff)
         memo[cur] = result
@@ -322,7 +333,10 @@ def reduce_biword(
     """
     if strategy.kind != "leftmost":
         return reduce(Expression.single(bw), system, strategy).normal_form
-    return Expression._make(dict(_leftmost_nf(bw, system)))
+    nf = _leftmost_nf(bw, system)
+    if len(nf) > DEFAULT_TERM_CAP:
+        raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
+    return Expression(nf)
 
 
 def normal_form(expr: Expression, system: ReductionSystem) -> Expression:

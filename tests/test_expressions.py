@@ -114,6 +114,27 @@ def test_graded_product_identity(e, f):
         assert ef.homogeneous_component(n) == expected
 
 
+def _pairwise_product(e: Expression, f: Expression) -> Expression:
+    """Reference product: every pair of terms concatenated, one at a time."""
+    total = Expression.zero()
+    for a, ca in e.terms():
+        for b, cb in f.terms():
+            total = total + Expression.single(a * b, ca * cb)
+    return total
+
+
+@given(expressions(max_terms=3, max_size=3), expressions(max_terms=3, max_size=3))
+def test_graded_product_matches_pairwise_reference(e, f):
+    reference = _pairwise_product(e, f)
+    assert e.product(f) == reference
+    for cut in (0, 2, 6):
+        components = list(e.graded_product(f, cut))
+        assert len(components) == cut + 1
+        for d, component in enumerate(components):
+            assert component == reference.homogeneous_component(d)
+        assert e.product(f, max_degree=cut) == sum(components, Expression.zero())
+
+
 @given(circular_expressions(), circular_expressions())
 def test_circular_closed_under_product(e, f):
     assert e.is_circular() and f.is_circular()

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import rightq.rewrite
 from rightq import (
     EMPTY_BIWORD,
     Expression,
@@ -115,3 +116,29 @@ def test_strong_check_matches_plain_variant():
     assert [r.normal_form for r in strong.per_degree] == [
         r.normal_form for r in direct.per_degree
     ]
+
+
+# The engine's rewrite work: how the measure and the coefficients are
+# computed must not change which rewrites happen or how many checks run.
+@pytest.mark.parametrize(
+    "r, max_degree, variant, steps, terms, checks",
+    [
+        (4, 5, "strong", [0, 0, 6, 56, 408, 2450], [1, 0, 24, 124, 596, 2552], 6964),
+        (
+            3,
+            6,
+            "q",
+            [0, 0, 3, 20, 98, 410, 1586],
+            [1, 0, 12, 46, 158, 502, 1550],
+            4543,
+        ),
+    ],
+    ids=["strong-r4-d5", "q-r3-d6"],
+)
+def test_qmm_rewrite_work_is_pinned(r, max_degree, variant, steps, terms, checks):
+    before = rightq.rewrite.measure_check_count()
+    report = qmm_check(r, max_degree, variant)
+    assert rightq.rewrite.measure_check_count() - before == checks
+    assert report.ok
+    assert [row.rewrite_steps for row in report.per_degree] == steps
+    assert [row.term_count_before_reduction for row in report.per_degree] == terms

@@ -193,6 +193,27 @@ def test_plain_normal_forms_have_integer_coefficients(b):
         assert all(exp == 0 for exp, _ in coeff.monomials())
 
 
+@given(expressions())
+def test_plain_results_carry_laurent_coefficients(e):
+    for inp in (e, e.eval_at_one()):
+        results = [reduce(inp, SYSTEM_S).normal_form, normal_form(inp, SYSTEM_S)]
+        for b in inp.support():
+            results.append(reduce_biword(b, SYSTEM_S))
+            results.append(reduce_biword(b, SYSTEM_S, RIGHTMOST))
+            results += [rewrite_at(b, p, SYSTEM_S) for p in b.double_descents()]
+        for result in results:
+            assert all(type(c) is Laurent for _, c in result.terms())
+
+
+def test_plain_reduce_of_non_constant_input_scales_constant_forms():
+    nf_321 = reduce(ex("321/321"), SYSTEM_S).normal_form
+    nf_21 = reduce(ex("21/11"), SYSTEM_S).normal_form
+    expected = nf_321.scale(Laurent.q_power(1)) + nf_21.scale(2)
+    mixed = ex("q*321/321 + 2*21/11")
+    assert reduce(mixed, SYSTEM_S).normal_form == expected
+    assert normal_form(mixed, SYSTEM_S) == expected
+
+
 def _drops(b: Biword, position: int, system) -> list[int]:
     parent = b.inv_plus()
     return [
@@ -230,6 +251,31 @@ def test_measure_drops_exact_in_random_contexts():
             assert drops == [1]
         else:
             assert sorted(drops) == [1, 1, 2]
+
+
+@given(biwords(max_size=8))
+def test_local_measure_drop_matches_full_recount(b):
+    for system in (SYSTEM_S, SYSTEM_SQ):
+        for position in b.double_descents():
+            before = rightq.rewrite.measure_check_count()
+            children, _ = rightq.rewrite._expand(
+                b, position - 1, system, b.inv_plus()
+            )
+            assert rightq.rewrite.measure_check_count() - before == len(children)
+            for child, _, level in children:
+                assert level == child.inv_plus()
+
+
+def test_stencil_rejects_a_rule_that_is_no_rearrangement(monkeypatch):
+    assert SYSTEM_S.stencil == {
+        True: [(1, 0, 1, 1)],
+        False: [(1, 1, 1, 2), (1, 0, 1, 1), (0, 1, -1, 1)],
+    }
+    monkeypatch.setattr(
+        rightq.rewrite, "_RULES", {True: (("yy", "aa", Laurent.q_power(1)),)}
+    )
+    with pytest.raises(AssertionError):
+        rightq.rewrite.ReductionSystem("s")
 
 
 def test_measure_check_counter_advances():
@@ -346,6 +392,25 @@ def test_term_cap_applies_to_the_input():
     with pytest.raises(TermCapExceeded):
         reduce(irreducible, SYSTEM_S, term_cap=0)
     assert reduce(irreducible, SYSTEM_S, term_cap=1).normal_form == irreducible
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_memo_paths_apply_the_term_cap(monkeypatch, warm):
+    target = bw("321/321")  # its normal form has 15 terms
+    single = Expression.single(target)
+    rightq.rewrite.clear_caches()
+    if warm:
+        reduce_biword(target, SYSTEM_S)
+    monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 5)
+    with pytest.raises(TermCapExceeded):
+        reduce_biword(target, SYSTEM_S)
+    with pytest.raises(TermCapExceeded):
+        normal_form(single, SYSTEM_S)
+    with pytest.raises(TermCapExceeded):
+        in_ideal(single, SYSTEM_S)
+    monkeypatch.undo()
+    # An aborted fill leaves only complete normal forms behind.
+    assert reduce_biword(target, SYSTEM_S) == reduce(single, SYSTEM_S).normal_form
 
 
 def test_rewrite_steps_deterministic_and_bounded():
