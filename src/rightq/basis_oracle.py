@@ -11,7 +11,8 @@ two-term rows by s) to clear denominators; row scaling leaves the rank
 unchanged.  Elimination is fraction-free integer Gaussian elimination
 on sparse rows with gcd normalization, pivoting on the column of
 highest termination measure so that fill-in follows the same downhill
-structure the rewrite rules do.
+structure the rewrite rules do.  That order needs no sort: column j, top
+word t over bottom word b, gets the key j - (inv(t) + imv(b)) * r^(2n).
 """
 
 import itertools
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .rewrite import SYSTEM_S, reduce_biword
-from .words import Biword, _at_least
+from .rewrite import SYSTEM_S, _leftmost_nf
+from .words import Biword, _at_least, imv, inv
 
 DEFAULT_BUDGET = 10**6
 
@@ -149,7 +150,7 @@ def rank(rows: list[dict[int, int]], priority=None) -> int:
     pivots: dict[int, dict[int, int]] = {}
     found = 0
     for row in rows:
-        row = dict(row)
+        row = {j: v for j, v in row.items() if v}
         while row:
             lead = min(row, key=key)
             pivot = pivots.get(lead)
@@ -176,12 +177,12 @@ def rank(rows: list[dict[int, int]], priority=None) -> int:
 
 def _measure_priority(r: int, n: int) -> list[int]:
     # Pivot on high-measure columns first; mirrors the rewrite direction.
-    biwords = enumerate_biwords(r, n)
-    order = sorted(range(len(biwords)), key=lambda j: (-biwords[j].inv_plus(), j))
-    priority = [0] * len(biwords)
-    for position, j in enumerate(order):
-        priority[j] = position
-    return priority
+    # As j < r^(2n), the keys order columns by (-inv_plus, j).
+    words = list(itertools.product(range(1, r + 1), repeat=n))
+    size = r ** (2 * n)
+    tops = [inv(w) * size for w in words]
+    bottoms = [imv(w) * size for w in words]
+    return [j - t - b for j, (t, b) in enumerate(itertools.product(tops, bottoms))]
 
 
 @dataclass
@@ -234,16 +235,8 @@ def spanning_rank(r: int, n: int) -> int:
     """
     biwords = enumerate_biwords(r, n)
     column = {bw: j for j, bw in enumerate(biwords)}
-    rows = []
-    for bw in biwords:
-        nf = reduce_biword(bw, SYSTEM_S)
-        row = {}
-        for term, coeff in nf._terms.items():
-            value = coeff.eval_at_one()
-            if len(coeff) != 1 or coeff.monomials()[0][0] != 0:
-                raise AssertionError(
-                    f"plain normal form of {bw} has a non-constant coefficient"
-                )
-            row[column[term]] = value
-        rows.append(row)
+    rows = [
+        {column[term]: c for term, c in _leftmost_nf(bw, SYSTEM_S).items()}
+        for bw in biwords
+    ]
     return rank(rows, _measure_priority(r, n))

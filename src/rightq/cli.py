@@ -44,10 +44,14 @@ def _note(msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _emit(key: str, value) -> None:
+def _text(value) -> str:
     if isinstance(value, bool):
-        value = "true" if value else "false"
-    print(f"{key}\t{value}")
+        return "true" if value else "false"
+    return str(value)
+
+
+def _emit(key: str, value) -> None:
+    print(f"{key}\t{_text(value)}")
 
 
 def _strategy_arg(text: str):
@@ -215,36 +219,29 @@ def _write_report(path: str, blocks: list[list[tuple[str, object]]]) -> None:
             if k:
                 handle.write("\n")
             for key, value in block:
-                if isinstance(value, bool):
-                    value = "true" if value else "false"
-                handle.write(f"{key}\t{value}\n")
+                handle.write(f"{key}\t{_text(value)}\n")
 
 
 def _cmd_qmm(args) -> int:
     report = qmm_check(args.r, args.max_degree, args.variant, args.term_cap)
-    _emit("r", report.r)
-    _emit("max-degree", report.max_degree)
-    _emit("system", report.system)
-    _emit("variant", report.variant)
+    header = [
+        ("r", report.r),
+        ("max-degree", report.max_degree),
+        ("system", report.system),
+        ("variant", report.variant),
+    ]
+    for key, value in header:
+        _emit(key, value)
     print("degree\tterms\tsteps\tok")
     for row in report.per_degree:
-        flag = "true" if row.ok else "false"
         print(
             f"{row.degree}\t{row.term_count_before_reduction}"
-            f"\t{row.rewrite_steps}\t{flag}"
+            f"\t{row.rewrite_steps}\t{_text(row.ok)}"
         )
         _note(f"degree {row.degree}: {row.rewrite_steps} rewrites")
     _emit("ok", report.ok)
     if args.report:
-        blocks = [
-            [
-                ("r", report.r),
-                ("max-degree", report.max_degree),
-                ("system", report.system),
-                ("variant", report.variant),
-                ("ok", report.ok),
-            ]
-        ]
+        blocks = [header + [("ok", report.ok)]]
         for row in report.per_degree:
             blocks.append(
                 [

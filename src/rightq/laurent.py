@@ -59,8 +59,10 @@ class Laurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it must hash like one.
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            t = self._terms
+            self._hash = hash(t.get(0, 0) if t.keys() <= {0} else frozenset(t.items()))
         return self._hash
 
     def __neg__(self) -> "Laurent":

@@ -18,15 +18,17 @@ by 1.  A replacement only rearranges the pair's own letters, so the drop
 is the same in every context: each system computes it once from the
 bare pair, and a child's measure is its parent's less that drop.  The
 engine checks the drop on every rewrite and treats a violation as
-internal corruption.  The plain system computes with int coefficients;
-Laurent values appear only in the expressions returned.
+internal corruption.  Under "s" the memo holds ints and constant inputs
+are lowered to ints once, so all plain arithmetic is on ints; Laurent
+values appear only in the expressions returned.
 
 reduce() runs a worklist over whole expressions.  Pending reducible
 biwords are bucketed by measure value and processed from the highest
 bucket down; since every new biword lands strictly lower, each distinct
 biword is rewritten at most once per call and its coefficient is final
 when its turn comes.  reduce_biword() and normal_form() read one memo of
-leftmost normal forms per system, filled without recursion by level.
+leftmost normal forms per system, filled without recursion by level,
+through one reader that applies the term cap.
 """
 
 import random
@@ -203,6 +205,13 @@ def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression
     return Expression({child: coeff for child, coeff, _ in children})
 
 
+def _lowered(terms: dict) -> dict:
+    """A copy of terms, with int coefficients if every one is a constant."""
+    if all(c._terms.keys() == {0} for c in terms.values()):
+        return {t: c._terms[0] for t, c in terms.items()}
+    return dict(terms)
+
+
 def _choose(strategy: Strategy, spots: tuple[int, ...], rng) -> int:
     if strategy.kind == "leftmost":
         return spots[0]
@@ -225,9 +234,7 @@ def reduce(
     coefficient.  Rewrite counts and the optional trace are therefore
     deterministic for deterministic strategies.
     """
-    work: dict[Biword, Laurent | int] = dict(expr._terms)
-    if all(c._terms.keys() == {0} for c in work.values()):
-        work = {bw: c._terms[0] for bw, c in work.items()}
+    work: dict[Biword, Laurent | int] = _lowered(expr._terms)
     buckets: dict[int, set[Biword]] = {}
     for bw in work:
         if not bw.is_irreducible():
@@ -296,30 +303,31 @@ def _accumulate(acc: dict, terms: dict, scale: "Laurent | int") -> None:
 
 
 def _leftmost_nf(bw: Biword, system: ReductionSystem) -> dict:
-    """Leftmost normal form of bw, filling the memo for its uncached closure."""
+    """Leftmost normal form of bw, held to the term cap; fills the memo on a miss."""
     memo = _NF_CACHES.setdefault(system.tag, {})
-    if bw in memo:
-        return memo[bw]
-    one = ONE if system.tag == "sq" else 1
-    pending: dict[Biword, tuple[int, list]] = {}
-    stack = [(bw, bw.inv_plus())]
-    while stack:
-        cur, level = stack.pop()
-        if cur in memo or cur in pending:
-            continue
-        spots = cur.double_descents()
-        if not spots:
-            memo[cur] = {cur: one}
-            continue
-        children, _ = _expand(cur, spots[0] - 1, system, level)
-        pending[cur] = (level, children)
-        stack.extend((child, child_level) for child, _, child_level in children)
-    # Children lie strictly lower, so each is final when its parent resolves.
-    for cur, (_, children) in sorted(pending.items(), key=lambda kv: kv[1][0]):
-        result: dict[Biword, Laurent | int] = {}
-        for child, coeff, _ in children:
-            _accumulate(result, memo[child], coeff)
-        memo[cur] = result
+    if bw not in memo:
+        one = ONE if system.tag == "sq" else 1
+        pending: dict[Biword, tuple[int, list]] = {}
+        stack = [(bw, bw.inv_plus())]
+        while stack:
+            cur, level = stack.pop()
+            if cur in memo or cur in pending:
+                continue
+            spots = cur.double_descents()
+            if not spots:
+                memo[cur] = {cur: one}
+                continue
+            children, _ = _expand(cur, spots[0] - 1, system, level)
+            pending[cur] = (level, children)
+            stack.extend((child, child_level) for child, _, child_level in children)
+        # Children lie strictly lower, so each is final when its parent resolves.
+        for cur, (_, children) in sorted(pending.items(), key=lambda kv: kv[1][0]):
+            result: dict[Biword, Laurent | int] = {}
+            for child, coeff, _ in children:
+                _accumulate(result, memo[child], coeff)
+            memo[cur] = result
+    if len(memo[bw]) > DEFAULT_TERM_CAP:
+        raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
     return memo[bw]
 
 
@@ -333,18 +341,15 @@ def reduce_biword(
     """
     if strategy.kind != "leftmost":
         return reduce(Expression.single(bw), system, strategy).normal_form
-    nf = _leftmost_nf(bw, system)
-    if len(nf) > DEFAULT_TERM_CAP:
-        raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
-    return Expression(nf)
+    return Expression(_leftmost_nf(bw, system))
 
 
 def normal_form(expr: Expression, system: ReductionSystem) -> Expression:
     """Normal form of an expression via the memoized per-biword map."""
-    acc: dict[Biword, Laurent] = {}
-    for bw, c in expr._terms.items():
+    acc: dict[Biword, Laurent | int] = {}
+    for bw, c in _lowered(expr._terms).items():
         _accumulate(acc, _leftmost_nf(bw, system), c)
-    return Expression._make(acc)
+    return Expression(acc)
 
 
 def in_ideal(expr: Expression, system: ReductionSystem) -> bool:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import rightq.rewrite
 from rightq import (
     Expression,
     SYSTEM_S,
@@ -18,6 +19,7 @@ from rightq import (
     relation_matrix,
     spanning_rank,
 )
+from rightq.basis_oracle import _measure_priority
 
 
 def transfer_matrix_count(r: int, n: int) -> int:
@@ -99,6 +101,9 @@ def test_rank_basics():
     assert rank([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
     assert rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]) == 2
     assert rank([{}]) == 0
+    # explicit zero entries are no pivots
+    assert rank([{0: 0}]) == 0
+    assert rank([{0: 0, 1: 5}, {1: 5}]) == 1
 
 
 def test_rank_with_priority_permutation():
@@ -157,3 +162,23 @@ def test_spanning_rank_matches_quotient():
         report = check_basis_dimension(2, n)
         assert spanning_rank(2, n) == report.quotient_dim
     assert spanning_rank(3, 2) == check_basis_dimension(3, 2).quotient_dim
+
+
+_PRIORITY_CASES = [(2, n) for n in range(6)] + [(3, n) for n in range(4)]
+
+
+@pytest.mark.parametrize("r, n", _PRIORITY_CASES)
+def test_measure_priority_orders_columns_by_descending_measure(r, n):
+    # reference order: high measure first, ties broken by column index
+    biwords = enumerate_biwords(r, n)
+    reference = sorted(range(len(biwords)), key=lambda j: (-biwords[j].inv_plus(), j))
+    priority = _measure_priority(r, n)
+    assert sorted(range(len(biwords)), key=priority.__getitem__) == reference
+
+
+def test_plain_memo_holds_bare_ints():
+    rightq.rewrite.clear_caches()
+    spanning_rank(2, 4)
+    memo = rightq.rewrite._NF_CACHES["s"]
+    assert set(enumerate_biwords(2, 4)) <= memo.keys()
+    assert all(type(c) is int for nf in memo.values() for c in nf.values())

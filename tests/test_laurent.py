@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -74,11 +75,14 @@ def test_eval_examples():
         a.eval_at_rational(0)
 
 
-@given(laurents)
-def test_hash_consistent_with_equality(a):
+@given(laurents, st.integers())
+def test_hash_consistent_with_equality(a, n):
     twin = Laurent({e: c for e, c in a.monomials()})
     assert twin == a
     assert hash(twin) == hash(a)
+    assert Laurent.integer(n) == n
+    assert hash(Laurent.integer(n)) == hash(n)
+    assert len({ZERO, 0, ONE, 1}) == 2
 
 
 def test_str_frozen():
