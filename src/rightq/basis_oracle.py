@@ -90,38 +90,38 @@ def _relation_stencil(q: Fraction) -> dict[bool, list[tuple[int, int, int]]]:
 def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     """Sparse integer rows spanning the degree-n relation space.
 
-    Columns follow enumerate_biwords(r, n).  One row per placement of a
+    Columns follow enumerate_biwords(r, n): top word t over bottom word b
+    is column index(t) * r^n + index(b), where index reads a word as a
+    base-r numeral with digits letter - 1.  One row per placement of a
     reducible pair between a left and a right context; n < 2 gives no
     rows.
     """
     q = _as_q(q_value)
     stencil = _relation_stencil(q)
-    column = {bw: j for j, bw in enumerate(enumerate_biwords(r, n))}
-    pairs = reducible_pairs(r)
-    alphabet = range(1, r + 1)
+    size = r**n
+    # Rows share one int object per column; a fresh int per entry would
+    # grow the matrix by about a quarter-million objects for r=2, n=8.
+    column = list(range(size * size))
     rows: list[dict[int, int]] = []
     for i in range(n - 1):
-        left_words = list(itertools.product(alphabet, repeat=i))
-        right_words = list(itertools.product(alphabet, repeat=n - 2 - i))
-        for pair in pairs:
+        # The pair's place value is the number of right contexts.
+        rights = range(r ** (n - 2 - i))
+        place = len(rights)
+        lefts = range(0, size, place * r * r)
+        for pair in reducible_pairs(r):
             (x, y), (a, b) = pair.top, pair.bottom
-            arrangements = {
-                (0, 0): ((x, y), (a, b)),
-                (1, 0): ((y, x), (a, b)),
-                (0, 1): ((x, y), (b, a)),
-                (1, 1): ((y, x), (b, a)),
-            }
-            entries = stencil[a == b]
-            for lt in left_words:
-                for lb in left_words:
-                    for rt in right_words:
-                        for rb in right_words:
-                            row: dict[int, int] = {}
-                            for ti, bi, coeff in entries:
-                                t2, b2 = arrangements[(ti, bi)]
-                                bw = Biword._make(lt + t2 + rt, lb + b2 + rb)
-                                row[column[bw]] = coeff
-                            rows.append(row)
+            tops = (x - 1) * r + y - 1, (y - 1) * r + x - 1
+            bottoms = (a - 1) * r + b - 1, (b - 1) * r + a - 1
+            entries = [
+                ((tops[ti] * size + bottoms[bi]) * place, coeff)
+                for ti, bi, coeff in stencil[a == b]
+            ]
+            for lt in lefts:
+                for lb in lefts:
+                    for rt in rights:
+                        base = (lt + rt) * size + lb
+                        for rb in rights:
+                            rows.append({column[base + rb + j]: c for j, c in entries})
     return rows
 
 
@@ -234,9 +234,14 @@ def spanning_rank(r: int, n: int) -> int:
     count if some normal form escaped the irreducible span.
     """
     biwords = enumerate_biwords(r, n)
-    column = {bw: j for j, bw in enumerate(biwords)}
+    size = r**n
+    words = itertools.product(range(1, r + 1), repeat=n)
+    index = {w: k for k, w in enumerate(words)}  # the base-r value of w
     rows = [
-        {column[term]: c for term, c in _leftmost_nf(bw, SYSTEM_S).items()}
+        {
+            index[term.top] * size + index[term.bottom]: c
+            for term, c in _leftmost_nf(bw, SYSTEM_S).items()
+        }
         for bw in biwords
     ]
     return rank(rows, _measure_priority(r, n))

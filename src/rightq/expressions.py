@@ -7,7 +7,41 @@ truncations exact through the cutoff.
 """
 
 from .laurent import Laurent, ONE, as_laurent
-from .words import Biword, EMPTY_BIWORD
+from .words import Biword, EMPTY_BIWORD, Rows
+
+
+def _rows(terms: dict[Biword, "Laurent | int"]) -> dict[Rows, "Laurent | int"]:
+    """terms keyed by each biword's (top, bottom) pair."""
+    return {(bw.top, bw.bottom): c for bw, c in terms.items()}
+
+
+def _graded_rows(left: dict, right: dict, max_degree: int):
+    """Components of left * right in degrees 0..max_degree, for terms keyed
+    by (top, bottom); each is summed directly over left_k * right_(d-k), so
+    no longer pair is visited."""
+    degrees = range(max_degree + 1)
+    parts = []
+    for terms in (left, right):
+        by_length: list[list] = [[] for _ in degrees]
+        for rows, c in terms.items():
+            if len(rows[0]) <= max_degree:
+                by_length[len(rows[0])].append((rows, c))
+        parts.append(by_length)
+    left_k, right_k = parts
+    for degree in degrees:
+        out: dict[Rows, "Laurent | int"] = {}
+        for k in range(degree + 1):
+            for (lt, lb), ca in left_k[k]:
+                for (rt, rb), cb in right_k[degree - k]:
+                    rows = lt + rt, lb + rb
+                    c = ca * cb
+                    s = out.get(rows)
+                    s = c if s is None else s + c
+                    if s:
+                        out[rows] = s
+                    else:
+                        del out[rows]
+        yield out
 
 
 class Expression:
@@ -30,6 +64,13 @@ class Expression:
         self = object.__new__(cls)
         self._terms = terms
         return self
+
+    @classmethod
+    def _from_rows(cls, terms: dict[Rows, "Laurent | int"]) -> "Expression":
+        # Trusted constructor from {(top, bottom): nonzero coefficient}.
+        return cls._make(
+            {Biword._make(*rows): as_laurent(c) for rows, c in terms.items()}
+        )
 
     @classmethod
     def zero(cls) -> "Expression":
@@ -119,23 +160,9 @@ class Expression:
     def graded_product(self, other: "Expression", max_degree: int):
         """Components of self * other in degrees 0..max_degree, each summed
         directly over self_k * other_(d-k), so no longer pair is visited."""
-        degrees = range(max_degree + 1)
-        left = [self.homogeneous_component(k)._terms for k in degrees]
-        right = [other.homogeneous_component(k)._terms for k in degrees]
-        for degree in degrees:
-            out: dict[Biword, Laurent] = {}
-            for k in range(degree + 1):
-                for a, ca in left[k].items():
-                    for b, cb in right[degree - k].items():
-                        ab = a * b
-                        c = ca * cb
-                        s = out.get(ab)
-                        s = c if s is None else s + c
-                        if s:
-                            out[ab] = s
-                        else:
-                            del out[ab]
-            yield Expression._make(out)
+        pairs = _graded_rows(_rows(self._terms), _rows(other._terms), max_degree)
+        for component in pairs:
+            yield Expression._from_rows(component)
 
     def homogeneous_component(self, degree: int) -> "Expression":
         return Expression._make(

@@ -12,15 +12,16 @@ each homogeneous component to normal form.
 import itertools
 from dataclasses import dataclass
 
-from .expressions import Expression
-from .laurent import Laurent, ONE
+from .expressions import Expression, _graded_rows
+from .laurent import Laurent
 from .rewrite import (
     DEFAULT_TERM_CAP,
+    LEFTMOST,
     SYSTEM_S,
     SYSTEM_SQ,
-    reduce,
+    _reduce_rows,
 )
-from .words import Biword, _at_least, inv
+from .words import Rows, _at_least, inv
 
 _VARIANTS = ("q", "one", "strong")
 
@@ -31,6 +32,26 @@ def _series_weighted(variant: str) -> bool:
     return variant == "q"
 
 
+def _ferm_rows(r: int, weighted: bool) -> dict[Rows, "Laurent | int"]:
+    acc: dict[Rows, Laurent | int] = {}
+    for mask in range(1 << r):
+        subset = tuple(i + 1 for i in range(r) if mask >> i & 1)
+        subset_sign = -1 if len(subset) % 2 else 1
+        for perm in itertools.permutations(subset):
+            k = inv(perm)
+            c = subset_sign * (-1 if k % 2 else 1)
+            acc[perm, subset] = Laurent.q_power(-k, c) if weighted else c
+    return acc
+
+
+def _bos_rows(r: int, max_len: int, weighted: bool) -> dict[Rows, "Laurent | int"]:
+    acc: dict[Rows, Laurent | int] = {}
+    for n in range(max_len + 1):
+        for w in itertools.product(range(1, r + 1), repeat=n):
+            acc[tuple(sorted(w)), w] = Laurent.q_power(inv(w)) if weighted else 1
+    return acc
+
+
 def ferm(r: int, variant: str = "q") -> Expression:
     """The alternating subset-permutation sum over the alphabet 1..r.
 
@@ -38,28 +59,12 @@ def ferm(r: int, variant: str = "q") -> Expression:
     lexicographically, so construction order is reproducible.  The empty
     subset contributes the unit term.
     """
-    weighted = _series_weighted(variant)
-    acc: dict[Biword, Laurent] = {}
-    for mask in range(1 << r):
-        subset = tuple(i + 1 for i in range(r) if mask >> i & 1)
-        subset_sign = -1 if len(subset) % 2 else 1
-        for perm in itertools.permutations(subset):
-            k = inv(perm)
-            c = subset_sign * (-1 if k % 2 else 1)
-            coeff = Laurent.q_power(-k, c) if weighted else Laurent.integer(c)
-            acc[Biword._make(perm, subset)] = coeff
-    return Expression._make(acc)
+    return Expression._from_rows(_ferm_rows(r, _series_weighted(variant)))
 
 
 def bos(r: int, max_len: int, variant: str = "q") -> Expression:
     """Sum of q^(inv w) (sorted w / w) over words of length at most max_len."""
-    weighted = _series_weighted(variant)
-    acc: dict[Biword, Laurent] = {}
-    for n in range(max_len + 1):
-        for w in itertools.product(range(1, r + 1), repeat=n):
-            coeff = Laurent.q_power(inv(w)) if weighted else ONE
-            acc[Biword._make(tuple(sorted(w)), w)] = coeff
-    return Expression._make(acc)
+    return Expression._from_rows(_bos_rows(r, max_len, _series_weighted(variant)))
 
 
 @dataclass
@@ -96,25 +101,29 @@ def qmm_check(
     system; "one" and "strong" reduce the q = 1 product under the plain
     system (the strong form asserts the product's normal form is exactly
     the unit, which is the same degreewise condition).  Degree 0 must
-    reduce to the unit and every higher degree to zero.
+    reduce to the unit and every higher degree to zero.  The series and
+    each degree component stay (top, bottom)-keyed dicts, with int
+    coefficients under the plain variants, from construction through
+    the reduction.
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree)
     weighted = _series_weighted(variant)
     system = SYSTEM_SQ if weighted else SYSTEM_S
-    series = "q" if weighted else "one"
-    f, b = ferm(r, series), bos(r, max_degree, series)
+    f, b = _ferm_rows(r, weighted), _bos_rows(r, max_degree, weighted)
     rows: list[DegreeResult] = []
-    for degree, component in enumerate(f.graded_product(b, max_degree)):
-        report = reduce(component, system, term_cap=term_cap)
+    for degree, component in enumerate(_graded_rows(f, b, max_degree)):
+        terms = len(component)
+        steps, _, _ = _reduce_rows(component, system, LEFTMOST, False, term_cap)
+        normal_form = Expression._from_rows(component)
         target = Expression.unit() if degree == 0 else Expression.zero()
         rows.append(
             DegreeResult(
                 degree=degree,
-                normal_form=report.normal_form,
-                ok=report.normal_form == target,
-                term_count_before_reduction=len(component),
-                rewrite_steps=report.rewrite_steps,
+                normal_form=normal_form,
+                ok=normal_form == target,
+                term_count_before_reduction=terms,
+                rewrite_steps=steps,
             )
         )
     return QmmReport(r, max_degree, system.tag, variant, rows)

@@ -22,22 +22,33 @@ internal corruption.  Under "s" the memo holds ints and constant inputs
 are lowered to ints once, so all plain arithmetic is on ints; Laurent
 values appear only in the expressions returned.
 
-reduce() runs a worklist over whole expressions.  Pending reducible
-biwords are bucketed by measure value and processed from the highest
-bucket down; since every new biword lands strictly lower, each distinct
-biword is rewritten at most once per call and its coefficient is final
-when its turn comes.  reduce_biword() and normal_form() read one memo of
-leftmost normal forms per system, filled without recursion by level,
-through one reader that applies the term cap.
+reduce() runs a worklist over whole expressions, keyed by each biword's
+plain (top, bottom) pair of tuples, whose hashing and comparison run in
+C; biwords are built again only for the normal form and the trace.
+Pending reducible pairs are bucketed by measure value and processed
+from the highest bucket down; since every new term lands strictly
+lower, each distinct biword is rewritten at most once per call and its
+coefficient is final when its turn comes.  Each pending pair carries its
+double-descent mask (bit i for columns i, i + 1): a rewrite at position
+p changes columns p and p + 1 only, so a child's mask is its parent's
+with bits p - 1, p and p + 1 recomputed, and the leftmost spot is the
+lowest set bit.  Input measures come from inv and imv tables over the
+call's distinct top and bottom words.  Each bucket is sorted by
+Biword.sort_key: the order within a level changes no coefficient, but
+it does change the peak term count, the trace and which biword draws
+each random choice.  reduce_biword() and normal_form() read one memo of
+leftmost normal forms per system, filled without recursion by level
+through the same rewrite kernel, and read through one reader that
+applies the term cap.
 """
 
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .expressions import Expression
+from .expressions import Expression, _rows
 from .laurent import Laurent, ONE, Q, Q_INV
-from .words import Biword, _at_least
+from .words import Biword, Rows, Word, _at_least, format_word_pair, imv, inv
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -115,6 +126,13 @@ class Strategy:
     kind: str  # "leftmost" | "rightmost" | "random"
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("leftmost", "rightmost", "random"):
+            raise ValueError(
+                f"unknown strategy kind {self.kind!r}; "
+                "expected leftmost, rightmost or random"
+            )
+
 
 LEFTMOST = Strategy("leftmost")
 RIGHTMOST = Strategy("rightmost")
@@ -161,38 +179,80 @@ def measure_check_count() -> int:
     return _measure_checks
 
 
-def _expand(
-    bw: Biword, pos0: int, system: ReductionSystem, parent_level: int
-) -> tuple[list[tuple[Biword, "Laurent | int", int]], str]:
-    """Apply the local rule at 0-based position pos0.
+def _descent_mask(top: Word, bottom: Word) -> int:
+    """Bit i set when 0-based columns i and i + 1 form a double descent.
 
-    Returns ((child biword, rule coefficient, child measure), ...) plus
-    the rule kind, verifying the strict measure drop for every child.
+    >>> bin(_descent_mask((3, 2, 1), (3, 2, 1)))
+    '0b11'
+    >>> _descent_mask((1, 2, 3), (3, 2, 1))
+    0
+    """
+    mask = 0
+    for i in range(len(top) - 1):
+        if top[i] > top[i + 1] and bottom[i] >= bottom[i + 1]:
+            mask |= 1 << i
+    return mask
+
+
+def _expand_rows(
+    rows: Rows, mask: int, pos0: int, system: ReductionSystem, parent_level: int
+) -> tuple[list[tuple[Rows, int, "Laurent | int", int]], str]:
+    """Apply the local rule at 0-based position pos0 of rows = (top, bottom).
+
+    mask is the parent's double-descent mask.  Returns ((child rows, child
+    mask, rule coefficient, child measure), ...) plus the rule kind,
+    verifying the strict measure drop for every child.  The rule rewrites
+    columns pos0 and pos0 + 1 only, so a child's mask differs from its
+    parent's at most in bits pos0 - 1, pos0 and pos0 + 1, and only those
+    are recomputed.
     """
     global _measure_checks
-    top, bottom = bw.top, bw.bottom
+    top, bottom = rows
     x, y = top[pos0], top[pos0 + 1]
     a, b = bottom[pos0], bottom[pos0 + 1]
     if not (x > y and a >= b):
         raise NotADoubleDescent(
-            f"position {pos0 + 1} of {bw} has no double descent"
+            f"position {pos0 + 1} of {format_word_pair(top, bottom)} "
+            "has no double descent"
         )
+    head_t, tail_t = top[:pos0], top[pos0 + 2 :]
+    head_b, tail_b = bottom[:pos0], bottom[pos0 + 2 :]
+    # Letters are positive, so a 0 left neighbour never makes a descent.
+    left_t, left_b = (top[pos0 - 1], bottom[pos0 - 1]) if pos0 else (0, 0)
+    bit = 1 << pos0
+    kept = mask & ~(7 << pos0 >> 1)
     tops, bottoms = ((x, y), (y, x)), ((a, b), (b, a))
     out = []
     for ti, bi, coeff, drop in system.stencil[a == b]:
-        child = Biword._make(
-            top[:pos0] + tops[ti] + top[pos0 + 2 :],
-            bottom[:pos0] + bottoms[bi] + bottom[pos0 + 2 :],
-        )
+        (t0, t1), (b0, b1) = tops[ti], bottoms[bi]
+        child_mask = kept
+        if left_t > t0 and left_b >= b0:
+            child_mask |= bit >> 1
+        if t0 > t1 and b0 >= b1:
+            child_mask |= bit
+        if tail_t and t1 > tail_t[0] and b1 >= tail_b[0]:
+            child_mask |= bit << 1
+        child = head_t + tops[ti] + tail_t, head_b + bottoms[bi] + tail_b
         level = parent_level - drop
         _measure_checks += 1
         if level >= parent_level:
             raise AssertionError(
-                f"measure failed to drop: {bw} -> {child} "
-                f"({parent_level} -> {level})"
+                f"measure failed to drop: {format_word_pair(top, bottom)} -> "
+                f"{format_word_pair(*child)} ({parent_level} -> {level})"
             )
-        out.append((child, coeff, level))
+        out.append((child, child_mask, coeff, level))
     return out, ("swap" if a == b else "split")
+
+
+def _expand(
+    bw: Biword, pos0: int, system: ReductionSystem, parent_level: int
+) -> tuple[list[tuple[Biword, "Laurent | int", int]], str]:
+    """_expand_rows on a biword: ((child, rule coefficient, child measure), ...)."""
+    rows = bw.top, bw.bottom
+    children, kind = _expand_rows(
+        rows, _descent_mask(*rows), pos0, system, parent_level
+    )
+    return [(Biword._make(*child), c, level) for child, _, c, level in children], kind
 
 
 def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression:
@@ -212,12 +272,72 @@ def _lowered(terms: dict) -> dict:
     return dict(terms)
 
 
-def _choose(strategy: Strategy, spots: tuple[int, ...], rng) -> int:
+def _choose(strategy: Strategy, mask: int, rng) -> int:
+    """The 0-based position to rewrite among the set bits of mask."""
     if strategy.kind == "leftmost":
-        return spots[0]
+        return (mask & -mask).bit_length() - 1
     if strategy.kind == "rightmost":
-        return spots[-1]
+        return mask.bit_length() - 1
+    spots = [i for i in range(mask.bit_length()) if mask >> i & 1]
     return spots[rng.randrange(len(spots))]
+
+
+def _reduce_rows(
+    work: dict,
+    system: ReductionSystem,
+    strategy: Strategy,
+    keep_trace: bool,
+    term_cap: int,
+) -> tuple[int, int, list[TraceStep] | None]:
+    """The worklist of reduce() on {(top, bottom): coefficient}, in place.
+
+    Returns the rewrite count, the peak term count and the trace.
+    """
+    steps = 0
+    max_terms = len(work)
+    if max_terms > term_cap:
+        raise TermCapExceeded(f"input expression exceeded {term_cap} terms")
+    masks = {rows: mask for rows in work if (mask := _descent_mask(*rows))}
+    inv_of = {top: inv(top) for top in {top for top, _ in masks}}
+    imv_of = {bottom: imv(bottom) for bottom in {bottom for _, bottom in masks}}
+    # Pending reducible rows by measure, each with its double-descent mask.
+    buckets: dict[int, dict[Rows, int]] = {}
+    for (top, bottom), mask in masks.items():
+        buckets.setdefault(inv_of[top] + imv_of[bottom], {})[top, bottom] = mask
+    rng = random.Random(strategy.seed) if strategy.kind == "random" else None
+    trace: list[TraceStep] | None = [] if keep_trace else None
+    while buckets:
+        level = max(buckets)
+        bucket = buckets.pop(level)
+        # In Biword.sort_key order: the order within a level changes no
+        # coefficient, but it does change the peak term count, the trace
+        # and the random choices.
+        for rows in sorted(bucket, key=lambda rows: (len(rows[0]), *rows)):
+            c = work.pop(rows, None)
+            if c is None:
+                continue  # earlier contributions cancelled
+            mask = bucket[rows]
+            pos0 = _choose(strategy, mask, rng)
+            children, kind = _expand_rows(rows, mask, pos0, system, level)
+            steps += 1
+            if trace is not None:
+                trace.append(TraceStep(Biword._make(*rows), pos0 + 1, kind))
+            for child, child_mask, coeff, child_level in children:
+                s = work.get(child)
+                s = c * coeff if s is None else s + c * coeff
+                if s:
+                    work[child] = s
+                    if child_mask:
+                        buckets.setdefault(child_level, {})[child] = child_mask
+                else:
+                    work.pop(child, None)
+            if len(work) > term_cap:
+                raise TermCapExceeded(
+                    f"intermediate expression exceeded {term_cap} terms"
+                )
+            if len(work) > max_terms:
+                max_terms = len(work)
+    return steps, max_terms, trace
 
 
 def reduce(
@@ -234,47 +354,13 @@ def reduce(
     coefficient.  Rewrite counts and the optional trace are therefore
     deterministic for deterministic strategies.
     """
-    work: dict[Biword, Laurent | int] = _lowered(expr._terms)
-    buckets: dict[int, set[Biword]] = {}
-    for bw in work:
-        if not bw.is_irreducible():
-            buckets.setdefault(bw.inv_plus(), set()).add(bw)
-    rng = random.Random(strategy.seed) if strategy.kind == "random" else None
-    steps = 0
-    max_terms = len(work)
-    if max_terms > term_cap:
-        raise TermCapExceeded(f"input expression exceeded {term_cap} terms")
-    trace: list[TraceStep] | None = [] if keep_trace else None
-    while buckets:
-        level = max(buckets)
-        for bw in sorted(buckets.pop(level), key=Biword.sort_key):
-            c = work.pop(bw, None)
-            if c is None:
-                continue  # earlier contributions cancelled
-            spots = bw.double_descents()
-            position = _choose(strategy, spots, rng)
-            children, kind = _expand(bw, position - 1, system, level)
-            steps += 1
-            if trace is not None:
-                trace.append(TraceStep(bw, position, kind))
-            for child, coeff, child_level in children:
-                s = work.get(child)
-                s = c * coeff if s is None else s + c * coeff
-                if s:
-                    work[child] = s
-                    if not child.is_irreducible():
-                        buckets.setdefault(child_level, set()).add(child)
-                else:
-                    work.pop(child, None)
-            if len(work) > term_cap:
-                raise TermCapExceeded(
-                    f"intermediate expression exceeded {term_cap} terms"
-                )
-            if len(work) > max_terms:
-                max_terms = len(work)
+    work = _rows(_lowered(expr._terms))
+    steps, max_terms, trace = _reduce_rows(
+        work, system, strategy, keep_trace, term_cap
+    )
     return ReductionReport(
         input=expr,
-        normal_form=Expression(work),
+        normal_form=Expression._from_rows(work),
         rewrite_steps=steps,
         max_intermediate_terms=max_terms,
         trace=trace,
@@ -308,22 +394,28 @@ def _leftmost_nf(bw: Biword, system: ReductionSystem) -> dict:
     if bw not in memo:
         one = ONE if system.tag == "sq" else 1
         pending: dict[Biword, tuple[int, list]] = {}
-        stack = [(bw, bw.inv_plus())]
+        stack = [(bw, bw.inv_plus(), _descent_mask(bw.top, bw.bottom))]
         while stack:
-            cur, level = stack.pop()
+            cur, level, mask = stack.pop()
             if cur in memo or cur in pending:
                 continue
-            spots = cur.double_descents()
-            if not spots:
+            if not mask:
                 memo[cur] = {cur: one}
                 continue
-            children, _ = _expand(cur, spots[0] - 1, system, level)
-            pending[cur] = (level, children)
-            stack.extend((child, child_level) for child, _, child_level in children)
+            rows = cur.top, cur.bottom
+            children, _ = _expand_rows(
+                rows, mask, _choose(LEFTMOST, mask, None), system, level
+            )
+            kids = []
+            for child_rows, child_mask, coeff, child_level in children:
+                child = Biword._make(*child_rows)
+                kids.append((child, coeff))
+                stack.append((child, child_level, child_mask))
+            pending[cur] = (level, kids)
         # Children lie strictly lower, so each is final when its parent resolves.
-        for cur, (_, children) in sorted(pending.items(), key=lambda kv: kv[1][0]):
+        for cur, (_, kids) in sorted(pending.items(), key=lambda kv: kv[1][0]):
             result: dict[Biword, Laurent | int] = {}
-            for child, coeff, _ in children:
+            for child, coeff in kids:
                 _accumulate(result, memo[child], coeff)
             memo[cur] = result
     if len(memo[bw]) > DEFAULT_TERM_CAP:

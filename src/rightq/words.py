@@ -13,6 +13,7 @@ ints and are only checked against r where a bound is actually known.
 from collections.abc import Iterable, Sequence
 
 Word = tuple[int, ...]
+Rows = tuple[Word, Word]  # a biword as its plain (top, bottom) pair
 
 
 def inv(word: Sequence[int]) -> int:

@@ -142,3 +142,21 @@ def test_qmm_rewrite_work_is_pinned(r, max_degree, variant, steps, terms, checks
     assert report.ok
     assert [row.rewrite_steps for row in report.per_degree] == steps
     assert [row.term_count_before_reduction for row in report.per_degree] == terms
+
+
+# The peak term count of each degree's reduction depends on the order in
+# which biwords of one measure level are rewritten; recorded before the
+# worklist moved to row pairs.
+@pytest.mark.parametrize(
+    "r, max_degree, variant, peaks",
+    [
+        (4, 5, "one", [1, 0, 24, 124, 612, 2664]),
+        (3, 6, "q", [1, 0, 12, 46, 160, 512, 1578]),
+    ],
+    ids=["strong-r4-d5", "q-r3-d6"],
+)
+def test_qmm_peak_terms_are_pinned(r, max_degree, variant, peaks):
+    system = SYSTEM_SQ if variant == "q" else SYSTEM_S
+    f, b = ferm(r, variant), bos(r, max_degree, variant)
+    components = f.graded_product(b, max_degree)
+    assert [reduce(c, system).max_intermediate_terms for c in components] == peaks

@@ -17,6 +17,7 @@ from rightq import (
     RIGHTMOST,
     SYSTEM_S,
     SYSTEM_SQ,
+    Strategy,
     TermCapExceeded,
     check_ambiguity,
     check_confluence_fuzz,
@@ -123,6 +124,38 @@ def test_trace_records_each_rewrite():
         ("213/212", 1, "split"),
     ]
     assert reduce(Expression.single(bw("321/221")), SYSTEM_S).trace is None
+
+
+def test_random_strategy_trace_is_pinned():
+    # Recorded before the worklist moved to row pairs: the order within a
+    # measure level decides which biword draws each random position.
+    e = ex("321/221 + 4321/1111")
+    report = reduce(e, SYSTEM_S, random_strategy(7), keep_trace=True)
+    assert [(str(s.biword), s.position, s.rule) for s in report.trace] == [
+        ("4321/1111", 2, "swap"),
+        ("4231/1111", 1, "swap"),
+        ("2431/1111", 3, "swap"),
+        ("2413/1111", 2, "swap"),
+        ("2143/1111", 1, "swap"),
+        ("1243/1111", 3, "swap"),
+        ("321/221", 2, "split"),
+        ("312/221", 1, "swap"),
+        ("321/212", 1, "split"),
+        ("132/221", 2, "split"),
+        ("312/212", 1, "split"),
+        ("321/122", 2, "swap"),
+        ("231/122", 2, "swap"),
+        ("132/122", 2, "swap"),
+    ]
+    assert report.rewrite_steps == 14
+    assert report.max_intermediate_terms == 8
+    assert report.normal_form == reduce(e, SYSTEM_S).normal_form
+
+
+def test_unknown_strategy_kind_is_rejected():
+    with pytest.raises(ValueError, match="leftmost, rightmost or random"):
+        Strategy("bogus")
+    assert Strategy("random", 3) == random_strategy(3)
 
 
 def test_reduce_on_irreducible_input_is_identity():
@@ -263,6 +296,26 @@ def test_local_measure_drop_matches_full_recount(b):
             )
             assert rightq.rewrite.measure_check_count() - before == len(children)
             for child, _, level in children:
+                assert level == child.inv_plus()
+
+
+def _spots(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@given(biwords(max_size=8))
+def test_carried_mask_matches_fresh_scan(b):
+    rows = b.top, b.bottom
+    mask = rightq.rewrite._descent_mask(*rows)
+    assert _spots(mask) == b.double_descents()
+    for system in (SYSTEM_S, SYSTEM_SQ):
+        for position in b.double_descents():
+            children, _ = rightq.rewrite._expand_rows(
+                rows, mask, position - 1, system, b.inv_plus()
+            )
+            for child_rows, child_mask, _, level in children:
+                child = Biword(*child_rows)
+                assert _spots(child_mask) == child.double_descents()
                 assert level == child.inv_plus()
 
 
