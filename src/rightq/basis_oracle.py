@@ -233,15 +233,15 @@ def spanning_rank(r: int, n: int) -> int:
     equal the quotient dimension, and it can only exceed the irreducible
     count if some normal form escaped the irreducible span.
     """
-    biwords = enumerate_biwords(r, n)
     size = r**n
-    words = itertools.product(range(1, r + 1), repeat=n)
+    words = list(itertools.product(range(1, r + 1), repeat=n))
     index = {w: k for k, w in enumerate(words)}  # the base-r value of w
     rows = [
         {
-            index[term.top] * size + index[term.bottom]: c
-            for term, c in _leftmost_nf(bw, SYSTEM_S).items()
+            index[t] * size + index[b]: c
+            for (t, b), c in _leftmost_nf((top, bottom), SYSTEM_S).items()
         }
-        for bw in biwords
+        for top in words
+        for bottom in words
     ]
     return rank(rows, _measure_priority(r, n))

@@ -107,7 +107,7 @@ def qmm_check(
     the reduction.
     """
     _at_least(1, r=r)
-    _at_least(0, max_degree=max_degree)
+    _at_least(0, max_degree=max_degree, term_cap=term_cap)
     weighted = _series_weighted(variant)
     system = SYSTEM_SQ if weighted else SYSTEM_S
     f, b = _ferm_rows(r, weighted), _bos_rows(r, max_degree, weighted)

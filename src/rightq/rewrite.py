@@ -37,9 +37,11 @@ call's distinct top and bottom words.  Each bucket is sorted by
 Biword.sort_key: the order within a level changes no coefficient, but
 it does change the peak term count, the trace and which biword draws
 each random choice.  reduce_biword() and normal_form() read one memo of
-leftmost normal forms per system, filled without recursion by level
-through the same rewrite kernel, and read through one reader that
-applies the term cap.
+leftmost normal forms per system, keyed by rows too, filled without
+recursion by level through the same rewrite kernel, and read through one
+reader that applies the term cap.  Its values are shared and read-only:
+a lone unit-coefficient child (the plain swap) lends its parent its dict.
+in_ideal() and the confluence fuzz compare row dicts, not Expressions.
 """
 
 import random
@@ -354,6 +356,7 @@ def reduce(
     coefficient.  Rewrite counts and the optional trace are therefore
     deterministic for deterministic strategies.
     """
+    _at_least(0, term_cap=term_cap)
     work = _rows(_lowered(expr._terms))
     steps, max_terms, trace = _reduce_rows(
         work, system, strategy, keep_trace, term_cap
@@ -367,8 +370,9 @@ def reduce(
     )
 
 
-# Leftmost normal forms per system tag, with int coefficients under "s".
-_NF_CACHES: dict[str, dict[Biword, dict[Biword, Laurent | int]]] = {}
+# Leftmost normal forms per system tag, keyed by (top, bottom) rows, with
+# int coefficients under "s".  Values are shared and read-only.
+_NF_CACHES: dict[str, dict[Rows, dict[Rows, Laurent | int]]] = {}
 
 
 def clear_caches() -> None:
@@ -388,39 +392,40 @@ def _accumulate(acc: dict, terms: dict, scale: "Laurent | int") -> None:
         raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
 
 
-def _leftmost_nf(bw: Biword, system: ReductionSystem) -> dict:
-    """Leftmost normal form of bw, held to the term cap; fills the memo on a miss."""
+def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
+    """Leftmost normal form of rows, held to the term cap; shared, read-only."""
     memo = _NF_CACHES.setdefault(system.tag, {})
-    if bw not in memo:
+    if rows not in memo:
         one = ONE if system.tag == "sq" else 1
-        pending: dict[Biword, tuple[int, list]] = {}
-        stack = [(bw, bw.inv_plus(), _descent_mask(bw.top, bw.bottom))]
+        pending: dict[Rows, tuple[int, list]] = {}
+        # Entries as _expand_rows makes them: (rows, mask, coefficient, level).
+        stack = [(rows, _descent_mask(*rows), one, inv(rows[0]) + imv(rows[1]))]
         while stack:
-            cur, level, mask = stack.pop()
+            cur, mask, _, level = stack.pop()
             if cur in memo or cur in pending:
                 continue
             if not mask:
                 memo[cur] = {cur: one}
                 continue
-            rows = cur.top, cur.bottom
-            children, _ = _expand_rows(
-                rows, mask, _choose(LEFTMOST, mask, None), system, level
-            )
-            kids = []
-            for child_rows, child_mask, coeff, child_level in children:
-                child = Biword._make(*child_rows)
-                kids.append((child, coeff))
-                stack.append((child, child_level, child_mask))
-            pending[cur] = (level, kids)
+            pos0 = (mask & -mask).bit_length() - 1
+            children, _ = _expand_rows(cur, mask, pos0, system, level)
+            pending[cur] = (level, children)
+            stack += children
         # Children lie strictly lower, so each is final when its parent resolves.
-        for cur, (_, kids) in sorted(pending.items(), key=lambda kv: kv[1][0]):
-            result: dict[Biword, Laurent | int] = {}
-            for child, coeff in kids:
+        for cur, (_, children) in sorted(pending.items(), key=lambda kv: kv[1][0]):
+            first, _, coeff, _ = children[0]
+            if coeff == one:
+                # A unit first child starts the sum; a lone one is shared.
+                result = memo[first] if len(children) == 1 else dict(memo[first])
+                children = children[1:]
+            else:
+                result = {}
+            for child, _, coeff, _ in children:
                 _accumulate(result, memo[child], coeff)
             memo[cur] = result
-    if len(memo[bw]) > DEFAULT_TERM_CAP:
+    if len(memo[rows]) > DEFAULT_TERM_CAP:
         raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
-    return memo[bw]
+    return memo[rows]
 
 
 def reduce_biword(
@@ -433,20 +438,25 @@ def reduce_biword(
     """
     if strategy.kind != "leftmost":
         return reduce(Expression.single(bw), system, strategy).normal_form
-    return Expression(_leftmost_nf(bw, system))
+    return Expression._from_rows(_leftmost_nf((bw.top, bw.bottom), system))
+
+
+def _normal_rows(expr: Expression, system: ReductionSystem) -> dict:
+    """{(top, bottom): coefficient} of expr's normal form, from the memo."""
+    acc: dict[Rows, Laurent | int] = {}
+    for bw, c in _lowered(expr._terms).items():
+        _accumulate(acc, _leftmost_nf((bw.top, bw.bottom), system), c)
+    return acc
 
 
 def normal_form(expr: Expression, system: ReductionSystem) -> Expression:
     """Normal form of an expression via the memoized per-biword map."""
-    acc: dict[Biword, Laurent | int] = {}
-    for bw, c in _lowered(expr._terms).items():
-        _accumulate(acc, _leftmost_nf(bw, system), c)
-    return Expression(acc)
+    return Expression._from_rows(_normal_rows(expr, system))
 
 
 def in_ideal(expr: Expression, system: ReductionSystem) -> bool:
     """Whether expr rewrites to zero, i.e. lies in the defining ideal."""
-    return normal_form(expr, system).is_zero()
+    return not _normal_rows(expr, system)
 
 
 def check_ambiguity(
@@ -480,11 +490,10 @@ def check_confluence_fuzz(
         n = rng.randint(0, max_len)
         top = tuple(rng.randint(1, r) for _ in range(n))
         bottom = tuple(rng.randint(1, r) for _ in range(n))
-        bw = Biword._make(top, bottom)
-        canonical = reduce_biword(bw, system)
-        alt = reduce(
-            Expression.single(bw), system, random_strategy(rng.getrandbits(32))
-        ).normal_form
+        canonical = _leftmost_nf((top, bottom), system)
+        alt = {(top, bottom): 1}
+        strategy = random_strategy(rng.getrandbits(32))
+        _reduce_rows(alt, system, strategy, False, DEFAULT_TERM_CAP)
         if canonical != alt:
-            report.counterexamples.append(bw)
+            report.counterexamples.append(Biword._make(top, bottom))
     return report

@@ -180,5 +180,5 @@ def test_plain_memo_holds_bare_ints():
     rightq.rewrite.clear_caches()
     spanning_rank(2, 4)
     memo = rightq.rewrite._NF_CACHES["s"]
-    assert set(enumerate_biwords(2, 4)) <= memo.keys()
+    assert {(b.top, b.bottom) for b in enumerate_biwords(2, 4)} <= memo.keys()
     assert all(type(c) is int for nf in memo.values() for c in nf.values())

@@ -94,6 +94,8 @@ _CONFLUENCE = ["check", "confluence", "--seed", "0"]
         (["check", "principle", "--r", "1", "--trials", "3", "--seed", "0"], "r"),
         (["basis", "--r", "2", "--degree", "-1"], "degree"),
         (["basis", "--r", "0", "--degree", "2"], "r"),
+        (["normalize", "--term-cap", "-5", "12/12"], "term_cap"),
+        (["qmm", "--r", "2", "--max-degree", "2", "--term-cap", "-1"], "term_cap"),
     ],
 )
 def test_verifiers_reject_empty_checks(capsys, argv, name):

@@ -1,5 +1,6 @@
 """The reduction engine: rules, strategies, termination, confluence."""
 
+import copy
 import itertools
 import random
 
@@ -27,10 +28,12 @@ from rightq import (
     parse_expression,
     phi,
     phi_inv,
+    qmm_check,
     random_strategy,
     reduce,
     reduce_biword,
     rewrite_at,
+    spanning_rank,
     system_by_name,
 )
 
@@ -392,6 +395,52 @@ def test_memo_paths_handle_long_swap_chain(system):
     assert not in_ideal(single, system)
 
 
+def _memo_readers(system):
+    alpha = bw("321/321")
+    reduce_biword(alpha, system)
+    normal_form(Expression.single(alpha, 3) - Expression.single(_SWAP_CHAIN), system)
+    in_ideal(Expression.single(alpha) - rewrite_at(alpha, 1, system), system)
+    in_ideal(Expression.single(_SWAP_CHAIN), system)
+    reduce_biword(_SWAP_CHAIN, system)
+    spanning_rank(2, 3)
+    check_confluence_fuzz(2, 4, 60, 1, system)
+
+
+@pytest.mark.parametrize("system", [SYSTEM_S, SYSTEM_SQ], ids=["s", "sq"])
+def test_memo_readers_leave_shared_values_alone(system):
+    # Memo values are shared between entries, so a reader that wrote into
+    # one would corrupt the normal forms of other biwords as well.
+    rightq.rewrite.clear_caches()
+    reduce_biword(bw("321/321"), system)
+    reduce_biword(_SWAP_CHAIN, system)
+    memo = rightq.rewrite._NF_CACHES
+    before = copy.deepcopy(memo)
+    _memo_readers(system)
+    for tag, entries in before.items():
+        assert {rows: memo[tag][rows] for rows in entries} == entries
+    # Once the readers have filled what they need, a second round adds
+    # nothing and changes nothing.
+    before = copy.deepcopy(memo)
+    _memo_readers(system)
+    assert memo == before
+
+
+@pytest.mark.parametrize("system", [SYSTEM_S, SYSTEM_SQ], ids=["s", "sq"])
+def test_confluence_fuzz_reports_a_wrong_canonical_form(monkeypatch, system):
+    # A leftmost memo that loses every reducible biword's normal form must
+    # be caught: the comparison cannot pass vacuously.
+    real = rightq.rewrite._leftmost_nf
+
+    def wrong(rows, system):
+        return {} if rightq.rewrite._descent_mask(*rows) else real(rows, system)
+
+    monkeypatch.setattr(rightq.rewrite, "_leftmost_nf", wrong)
+    report = check_confluence_fuzz(2, 4, 60, 1, system)
+    assert report.counterexamples
+    assert all(not b.is_irreducible() for b in report.counterexamples)
+    assert report.ok is False
+
+
 def test_in_ideal_examples():
     assert in_ideal(ex("21/21 - 12/12 - 12/21 + 21/12"), SYSTEM_S)
     assert in_ideal(ex("21/11 - 12/11"), SYSTEM_S)
@@ -445,6 +494,14 @@ def test_term_cap_applies_to_the_input():
     with pytest.raises(TermCapExceeded):
         reduce(irreducible, SYSTEM_S, term_cap=0)
     assert reduce(irreducible, SYSTEM_S, term_cap=1).normal_form == irreducible
+
+
+def test_negative_term_cap_is_rejected():
+    irreducible = Expression.single(bw("12/12"))
+    with pytest.raises(ValueError, match="term_cap must be at least 0, got -5"):
+        reduce(irreducible, SYSTEM_S, term_cap=-5)
+    with pytest.raises(ValueError, match="term_cap must be at least 0, got -1"):
+        qmm_check(2, 2, "strong", term_cap=-1)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
