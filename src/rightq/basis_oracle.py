@@ -63,6 +63,8 @@ def reducible_pairs(r: int) -> list[Biword]:
 
 
 def _as_q(q_value) -> Fraction:
+    if isinstance(q_value, float):
+        raise TypeError(f"q must be exact, not the float {q_value!r}")
     if isinstance(q_value, str):
         if q_value == "one":
             return Fraction(1)
@@ -96,6 +98,8 @@ def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     reducible pair between a left and a right context; n < 2 gives no
     rows.
     """
+    _at_least(1, r=r)
+    _at_least(0, degree=n)
     q = _as_q(q_value)
     stencil = _relation_stencil(q)
     size = r**n
@@ -233,6 +237,8 @@ def spanning_rank(r: int, n: int) -> int:
     equal the quotient dimension, and it can only exceed the irreducible
     count if some normal form escaped the irreducible span.
     """
+    _at_least(1, r=r)
+    _at_least(0, degree=n)
     size = r**n
     words = list(itertools.product(range(1, r + 1), repeat=n))
     index = {w: k for k, w in enumerate(words)}  # the base-r value of w

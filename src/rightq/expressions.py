@@ -1,18 +1,15 @@
 """Finite linear combinations of biwords with Laurent coefficients.
 
 An Expression is the free module element sum(c_alpha * alpha) over
-finitely many biwords alpha.  The product extends biword concatenation
-bilinearly; an optional degree cutoff makes products of infinite-series
-truncations exact through the cutoff.
+finitely many biwords alpha, keyed by their (top, bottom) rows as in
+every engine path; Biwords appear only at the public methods.  The
+product extends biword concatenation bilinearly; an optional degree
+cutoff makes products of infinite-series truncations exact through the
+cutoff.
 """
 
 from .laurent import Laurent, ONE, as_laurent
-from .words import Biword, EMPTY_BIWORD, Rows
-
-
-def _rows(terms: dict[Biword, "Laurent | int"]) -> dict[Rows, "Laurent | int"]:
-    """terms keyed by each biword's (top, bottom) pair."""
-    return {(bw.top, bw.bottom): c for bw, c in terms.items()}
+from .words import Biword, Rows, row_key
 
 
 def _graded_rows(left: dict, right: dict, max_degree: int):
@@ -45,32 +42,26 @@ def _graded_rows(left: dict, right: dict, max_degree: int):
 
 
 class Expression:
-    """Canonical dict of {Biword: nonzero Laurent coefficient}."""
+    """Canonical dict of {(top, bottom) rows: nonzero Laurent coefficient}."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Biword, "Laurent | int"] | None = None):
-        clean: dict[Biword, Laurent] = {}
+        clean: dict[Rows, Laurent] = {}
         if terms:
             for bw, c in terms.items():
                 c = as_laurent(c)
                 if c:
-                    clean[bw] = c
+                    clean[bw.top, bw.bottom] = c
         self._terms = clean
 
     @classmethod
-    def _make(cls, terms: dict[Biword, Laurent]) -> "Expression":
-        # Trusted constructor: no zero coefficients, ints already coerced.
+    def _make(cls, terms: dict[Rows, "Laurent | int"]) -> "Expression":
+        # Trusted constructor from {(top, bottom): nonzero coefficient};
+        # copies terms, so a shared dict such as a memo value stays intact.
         self = object.__new__(cls)
-        self._terms = terms
+        self._terms = {rows: as_laurent(c) for rows, c in terms.items()}
         return self
-
-    @classmethod
-    def _from_rows(cls, terms: dict[Rows, "Laurent | int"]) -> "Expression":
-        # Trusted constructor from {(top, bottom): nonzero coefficient}.
-        return cls._make(
-            {Biword._make(*rows): as_laurent(c) for rows, c in terms.items()}
-        )
 
     @classmethod
     def zero(cls) -> "Expression":
@@ -78,22 +69,23 @@ class Expression:
 
     @classmethod
     def unit(cls) -> "Expression":
-        return cls._make({EMPTY_BIWORD: ONE})
+        return cls._make({((), ()): ONE})
 
     @classmethod
     def single(cls, biword: Biword, coefficient: "Laurent | int" = 1) -> "Expression":
         c = as_laurent(coefficient)
-        return cls._make({biword: c} if c else {})
+        return cls._make({(biword.top, biword.bottom): c} if c else {})
 
     def terms(self) -> list[tuple[Biword, Laurent]]:
         """(biword, coefficient) pairs in canonical biword order."""
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
+        items = sorted(self._terms.items(), key=lambda item: row_key(item[0]))
+        return [(Biword._make(*rows), c) for rows, c in items]
 
     def support(self) -> tuple[Biword, ...]:
-        return tuple(sorted(self._terms, key=Biword.sort_key))
+        return tuple(Biword._make(*rows) for rows in sorted(self._terms, key=row_key))
 
     def coefficient(self, biword: Biword) -> Laurent:
-        return self._terms.get(biword, Laurent.integer(0))
+        return self._terms.get((biword.top, biword.bottom), Laurent.integer(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -110,19 +102,19 @@ class Expression:
         return self._terms == other._terms
 
     def __neg__(self) -> "Expression":
-        return Expression._make({bw: -c for bw, c in self._terms.items()})
+        return Expression._make({rows: -c for rows, c in self._terms.items()})
 
     def __add__(self, other: "Expression") -> "Expression":
         if not isinstance(other, Expression):
             return NotImplemented
         merged = dict(self._terms)
-        for bw, c in other._terms.items():
-            s = merged.get(bw)
+        for rows, c in other._terms.items():
+            s = merged.get(rows)
             s = c if s is None else s + c
             if s:
-                merged[bw] = s
+                merged[rows] = s
             else:
-                merged.pop(bw, None)
+                merged.pop(rows, None)
         return Expression._make(merged)
 
     def __sub__(self, other: "Expression") -> "Expression":
@@ -134,7 +126,7 @@ class Expression:
         c = as_laurent(coefficient)
         if not c:
             return Expression.zero()
-        return Expression._make({bw: k * c for bw, k in self._terms.items()})
+        return Expression._make({rows: k * c for rows, k in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Expression):
@@ -152,42 +144,41 @@ class Expression:
         """Concatenation product, dropping terms longer than max_degree."""
         if max_degree is None:
             max_degree = self.max_length() + other.max_length()
-        out: dict[Biword, Laurent] = {}
-        for component in self.graded_product(other, max_degree):
-            out.update(component._terms)
+        out: dict[Rows, Laurent] = {}
+        for component in _graded_rows(self._terms, other._terms, max_degree):
+            out.update(component)
         return Expression._make(out)
 
     def graded_product(self, other: "Expression", max_degree: int):
         """Components of self * other in degrees 0..max_degree, each summed
         directly over self_k * other_(d-k), so no longer pair is visited."""
-        pairs = _graded_rows(_rows(self._terms), _rows(other._terms), max_degree)
-        for component in pairs:
-            yield Expression._from_rows(component)
+        for component in _graded_rows(self._terms, other._terms, max_degree):
+            yield Expression._make(component)
 
     def homogeneous_component(self, degree: int) -> "Expression":
         return Expression._make(
-            {bw: c for bw, c in self._terms.items() if len(bw) == degree}
+            {rows: c for rows, c in self._terms.items() if len(rows[0]) == degree}
         )
 
     def max_length(self) -> int:
         """Length of the longest biword in the support (0 for the zero expression)."""
-        return max((len(bw) for bw in self._terms), default=0)
+        return max((len(top) for top, _ in self._terms), default=0)
 
     def is_irreducible(self) -> bool:
         """True when every support biword has no double descent."""
-        return all(bw.is_irreducible() for bw in self._terms)
+        return all(bw.is_irreducible() for bw in self.support())
 
     def is_circular(self) -> bool:
         """True when every support biword is a circuit."""
-        return all(bw.is_circuit() for bw in self._terms)
+        return all(bw.is_circuit() for bw in self.support())
 
     def map_coefficients(self, fn) -> "Expression":
         """Apply fn to every coefficient, dropping terms that become zero."""
-        out: dict[Biword, Laurent] = {}
-        for bw, c in self._terms.items():
+        out: dict[Rows, Laurent] = {}
+        for rows, c in self._terms.items():
             nc = fn(c)
             if nc:
-                out[bw] = nc
+                out[rows] = nc
         return Expression._make(out)
 
     def eval_at_one(self) -> "Expression":
@@ -200,4 +191,5 @@ class Expression:
         return print_expression(self)
 
     def __repr__(self) -> str:
-        return f"Expression({self._terms!r})"
+        terms = {Biword._make(*rows): c for rows, c in self._terms.items()}
+        return f"Expression({terms!r})"

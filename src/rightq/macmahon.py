@@ -59,12 +59,12 @@ def ferm(r: int, variant: str = "q") -> Expression:
     lexicographically, so construction order is reproducible.  The empty
     subset contributes the unit term.
     """
-    return Expression._from_rows(_ferm_rows(r, _series_weighted(variant)))
+    return Expression._make(_ferm_rows(r, _series_weighted(variant)))
 
 
 def bos(r: int, max_len: int, variant: str = "q") -> Expression:
     """Sum of q^(inv w) (sorted w / w) over words of length at most max_len."""
-    return Expression._from_rows(_bos_rows(r, max_len, _series_weighted(variant)))
+    return Expression._make(_bos_rows(r, max_len, _series_weighted(variant)))
 
 
 @dataclass
@@ -115,7 +115,7 @@ def qmm_check(
     for degree, component in enumerate(_graded_rows(f, b, max_degree)):
         terms = len(component)
         steps, _, _ = _reduce_rows(component, system, LEFTMOST, False, term_cap)
-        normal_form = Expression._from_rows(component)
+        normal_form = Expression._make(component)
         target = Expression.unit() if degree == 0 else Expression.zero()
         rows.append(
             DegreeResult(

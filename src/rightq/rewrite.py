@@ -24,7 +24,7 @@ values appear only in the expressions returned.
 
 reduce() runs a worklist over whole expressions, keyed by each biword's
 plain (top, bottom) pair of tuples, whose hashing and comparison run in
-C; biwords are built again only for the normal form and the trace.
+C; biwords are built again only at the public boundary.
 Pending reducible pairs are bucketed by measure value and processed
 from the highest bucket down; since every new term lands strictly
 lower, each distinct biword is rewritten at most once per call and its
@@ -34,7 +34,7 @@ p changes columns p and p + 1 only, so a child's mask is its parent's
 with bits p - 1, p and p + 1 recomputed, and the leftmost spot is the
 lowest set bit.  Input measures come from inv and imv tables over the
 call's distinct top and bottom words.  Each bucket is sorted by
-Biword.sort_key: the order within a level changes no coefficient, but
+words.row_key: the order within a level changes no coefficient, but
 it does change the peak term count, the trace and which biword draws
 each random choice.  reduce_biword() and normal_form() read one memo of
 leftmost normal forms per system, keyed by rows too, filled without
@@ -48,9 +48,9 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .expressions import Expression, _rows
+from .expressions import Expression
 from .laurent import Laurent, ONE, Q, Q_INV
-from .words import Biword, Rows, Word, _at_least, format_word_pair, imv, inv
+from .words import Biword, Rows, Word, _at_least, format_word_pair, imv, inv, row_key
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -246,25 +246,17 @@ def _expand_rows(
     return out, ("swap" if a == b else "split")
 
 
-def _expand(
-    bw: Biword, pos0: int, system: ReductionSystem, parent_level: int
-) -> tuple[list[tuple[Biword, "Laurent | int", int]], str]:
-    """_expand_rows on a biword: ((child, rule coefficient, child measure), ...)."""
-    rows = bw.top, bw.bottom
-    children, kind = _expand_rows(
-        rows, _descent_mask(*rows), pos0, system, parent_level
-    )
-    return [(Biword._make(*child), c, level) for child, _, c, level in children], kind
-
-
 def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression:
     """One rewrite of bw at the given 1-based double-descent position."""
     if not 1 <= position <= len(bw) - 1:
         raise NotADoubleDescent(
             f"position {position} is not interior to {bw}"
         )
-    children, _ = _expand(bw, position - 1, system, bw.inv_plus())
-    return Expression({child: coeff for child, coeff, _ in children})
+    rows = bw.top, bw.bottom
+    children, _ = _expand_rows(
+        rows, _descent_mask(*rows), position - 1, system, bw.inv_plus()
+    )
+    return Expression._make({child: coeff for child, _, coeff, _ in children})
 
 
 def _lowered(terms: dict) -> dict:
@@ -311,10 +303,10 @@ def _reduce_rows(
     while buckets:
         level = max(buckets)
         bucket = buckets.pop(level)
-        # In Biword.sort_key order: the order within a level changes no
+        # In row_key order: the order within a level changes no
         # coefficient, but it does change the peak term count, the trace
         # and the random choices.
-        for rows in sorted(bucket, key=lambda rows: (len(rows[0]), *rows)):
+        for rows in sorted(bucket, key=row_key):
             c = work.pop(rows, None)
             if c is None:
                 continue  # earlier contributions cancelled
@@ -357,13 +349,13 @@ def reduce(
     deterministic for deterministic strategies.
     """
     _at_least(0, term_cap=term_cap)
-    work = _rows(_lowered(expr._terms))
+    work = _lowered(expr._terms)
     steps, max_terms, trace = _reduce_rows(
         work, system, strategy, keep_trace, term_cap
     )
     return ReductionReport(
         input=expr,
-        normal_form=Expression._from_rows(work),
+        normal_form=Expression._make(work),
         rewrite_steps=steps,
         max_intermediate_terms=max_terms,
         trace=trace,
@@ -438,20 +430,20 @@ def reduce_biword(
     """
     if strategy.kind != "leftmost":
         return reduce(Expression.single(bw), system, strategy).normal_form
-    return Expression._from_rows(_leftmost_nf((bw.top, bw.bottom), system))
+    return Expression._make(_leftmost_nf((bw.top, bw.bottom), system))
 
 
 def _normal_rows(expr: Expression, system: ReductionSystem) -> dict:
     """{(top, bottom): coefficient} of expr's normal form, from the memo."""
     acc: dict[Rows, Laurent | int] = {}
-    for bw, c in _lowered(expr._terms).items():
-        _accumulate(acc, _leftmost_nf((bw.top, bw.bottom), system), c)
+    for rows, c in _lowered(expr._terms).items():
+        _accumulate(acc, _leftmost_nf(rows, system), c)
     return acc
 
 
 def normal_form(expr: Expression, system: ReductionSystem) -> Expression:
     """Normal form of an expression via the memoized per-biword map."""
-    return Expression._from_rows(_normal_rows(expr, system))
+    return Expression._make(_normal_rows(expr, system))
 
 
 def in_ideal(expr: Expression, system: ReductionSystem) -> bool:

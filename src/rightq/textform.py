@@ -19,7 +19,9 @@ from typing import NamedTuple
 
 from .expressions import Expression
 from .laurent import Laurent
-from .words import Biword, EMPTY_BIWORD, format_word_pair
+from .words import Biword, Rows, format_word_pair
+
+_EMPTY: Rows = (), ()
 
 
 class ParseError(ValueError):
@@ -134,11 +136,11 @@ class _Parser:
                 return tuple(letters)
             self.next()
 
-    def biword(self) -> Biword:
+    def biword(self) -> Rows:
         tok = self.peek()
         if tok.kind == "name" and tok.text == "e":
             self.next()
-            return EMPTY_BIWORD
+            return _EMPTY
         if self.at_sym("("):
             start = tok.pos
             self.next()
@@ -161,7 +163,7 @@ class _Parser:
                 "rows of equal length",
                 f"{len(top)} top letters over {len(bottom)} bottom letters",
             )
-        return Biword._make(top, bottom)
+        return top, bottom
 
     def _signed_int(self) -> int:
         negative = False
@@ -183,14 +185,14 @@ class _Parser:
             exponent = self._signed_int()
         return Laurent.q_power(exponent, coefficient)
 
-    def term(self, sign: int) -> tuple[Biword, Laurent]:
+    def term(self, sign: int) -> tuple[Rows, Laurent]:
         while self.at_sym("-"):
             self.next()
             sign = -sign
         tok = self.peek()
         if tok.kind == "name" and tok.text == "e":
             self.next()
-            return EMPTY_BIWORD, Laurent.integer(sign)
+            return _EMPTY, Laurent.integer(sign)
         if self.at_sym("("):
             return self.biword(), Laurent.integer(sign)
         if tok.kind == "name" and tok.text == "q":
@@ -204,7 +206,7 @@ class _Parser:
             self.next()
             value = sign * int(tok.text)
             if not self.at_sym("*"):
-                return EMPTY_BIWORD, Laurent.integer(value)
+                return _EMPTY, Laurent.integer(value)
             self.next()
             after = self.peek()
             if after.kind == "name" and after.text == "q":
@@ -213,22 +215,22 @@ class _Parser:
             return self.biword(), Laurent.integer(value)
         raise self.fail("a term")
 
-    def _optional_biword(self) -> Biword:
+    def _optional_biword(self) -> Rows:
         if self.at_sym("*"):
             self.next()
             return self.biword()
-        return EMPTY_BIWORD
+        return _EMPTY
 
     def expression(self) -> Expression:
-        acc: dict[Biword, Laurent] = {}
+        acc: dict[Rows, Laurent] = {}
 
-        def absorb(bw: Biword, coeff: Laurent) -> None:
-            s = acc.get(bw)
+        def absorb(rows: Rows, coeff: Laurent) -> None:
+            s = acc.get(rows)
             s = coeff if s is None else s + coeff
             if s:
-                acc[bw] = s
+                acc[rows] = s
             else:
-                acc.pop(bw, None)
+                acc.pop(rows, None)
 
         absorb(*self.term(1))
         while True:
@@ -251,10 +253,10 @@ def parse_expression(text: str, r: int | None = None) -> Expression:
 def parse_biword(text: str, r: int | None = None) -> Biword:
     """Parse a single biword literal."""
     parser = _Parser(text, r)
-    bw = parser.biword()
+    rows = parser.biword()
     if parser.peek().kind != "end":
         raise parser.fail("end of input")
-    return bw
+    return Biword._make(*rows)
 
 
 def print_biword(bw: Biword) -> str:

@@ -9,6 +9,7 @@ phi is multiplicative; on general expressions it is not.
 
 from .expressions import Expression
 from .rewrite import SYSTEM_S, SYSTEM_SQ, in_ideal
+from .words import inv
 
 
 class NotCircular(ValueError):
@@ -18,14 +19,14 @@ class NotCircular(ValueError):
 def phi(expr: Expression) -> Expression:
     """Rescale each term alpha by q^(inv_minus(alpha))."""
     return Expression._make(
-        {bw: c.shift(bw.inv_minus()) for bw, c in expr._terms.items()}
+        {(t, b): c.shift(inv(b) - inv(t)) for (t, b), c in expr._terms.items()}
     )
 
 
 def phi_inv(expr: Expression) -> Expression:
     """Inverse rescaling by q^(-inv_minus(alpha))."""
     return Expression._make(
-        {bw: c.shift(-bw.inv_minus()) for bw, c in expr._terms.items()}
+        {(t, b): c.shift(inv(t) - inv(b)) for (t, b), c in expr._terms.items()}
     )
 
 

@@ -76,6 +76,12 @@ def _at_least(least: int, **values: int) -> None:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def row_key(rows: Rows) -> tuple[int, Word, Word]:
+    """The canonical biword order: length, then top word, then bottom word."""
+    top, bottom = rows
+    return len(top), top, bottom
+
+
 def format_word_pair(top: Word, bottom: Word) -> str:
     if not top and not bottom:
         return "e"
@@ -87,12 +93,11 @@ def format_word_pair(top: Word, bottom: Word) -> str:
 class Biword:
     """An ordered pair of equal-length words, multiplied by concatenation.
 
-    Immutable by convention; instances hash and sort by the canonical key
-    (length, top word, bottom word), which is also the printing order for
-    expressions.
+    Immutable by convention; instances hash by their rows and sort by
+    row_key, which is also the printing order for expressions.
     """
 
-    __slots__ = ("top", "bottom", "_hash")
+    __slots__ = ("top", "bottom")
 
     def __init__(self, top: Iterable[int], bottom: Iterable[int]):
         top = tuple(top)
@@ -109,7 +114,6 @@ class Biword:
                 raise ValueError(f"letter {x} is not a positive integer")
         self.top = top
         self.bottom = bottom
-        self._hash = hash((top, bottom))
 
     @classmethod
     def _make(cls, top: Word, bottom: Word) -> "Biword":
@@ -118,14 +122,13 @@ class Biword:
         self = object.__new__(cls)
         self.top = top
         self.bottom = bottom
-        self._hash = hash((top, bottom))
         return self
 
     def __len__(self) -> int:
         return len(self.top)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.top, self.bottom))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Biword):
@@ -133,7 +136,7 @@ class Biword:
         return self.top == other.top and self.bottom == other.bottom
 
     def sort_key(self) -> tuple[int, Word, Word]:
-        return (len(self.top), self.top, self.bottom)
+        return row_key((self.top, self.bottom))
 
     def __lt__(self, other: "Biword") -> bool:
         return self.sort_key() < other.sort_key()

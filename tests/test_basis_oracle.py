@@ -150,6 +150,25 @@ def test_q_zero_rejected():
         relation_matrix(2, 2, Fraction(0))
 
 
+def test_float_q_rejected():
+    # 0.1 is not 1/10 in binary; ranking at its exact value would be silent.
+    for q in (0.1, 1.0):
+        with pytest.raises(TypeError, match="exact"):
+            check_basis_dimension(2, 3, q)
+        with pytest.raises(TypeError, match="exact"):
+            relation_matrix(2, 2, q)
+    assert check_basis_dimension(2, 2, "3/5").q_value == "3/5"
+    assert check_basis_dimension(2, 2, "one").q_value == "1"
+
+
+@pytest.mark.parametrize("fn", [relation_matrix, spanning_rank])
+def test_oracle_rejects_bad_alphabet_or_degree(fn):
+    with pytest.raises(ValueError, match="r must be at least 1, got 0"):
+        fn(0, 3)
+    with pytest.raises(ValueError, match="degree must be at least 0, got -1"):
+        fn(2, -1)
+
+
 def test_irreducibles_are_fixed_points():
     for bw in enumerate_biwords(2, 3):
         if bw.is_irreducible():
