@@ -4,7 +4,20 @@ Independently of the rewrite engine, the span of the defining relations
 in a fixed degree is computed as the exact rank of an integer matrix:
 one row per (left context, reducible pair, right context), one column
 per biword of that degree.  The codimension must match the count of
-irreducible biwords obtained by brute enumeration.
+irreducible biwords obtained by brute enumeration, and a closed form.
+
+A rule only rearranges the letters within each row of a biword, so
+every relation row is supported inside one content block: the biwords
+whose top word has letter multiplicities alpha and whose bottom word
+has multiplicities beta.  The oracle builds, ranks and discards one
+(alpha, beta) block at a time and sums the ranks, so memory follows the
+largest block (4,900 of the 65,536 columns for r = 2, n = 8), not the
+whole matrix.  Nothing is lost: eliminating a row only ever subtracts
+pivot rows that share its pivot column, hence its block, so the whole
+matrix's elimination never mixes blocks.  relation_matrix lists the
+rows block by block in the order the blocks are ranked, so ranking it
+whole does the blocked elimination step for step: the same fill-in and
+the same rank.
 
 Rows at a rational evaluation point q = p/s are scaled by p*s (and the
 two-term rows by s) to clear denominators; row scaling leaves the rank
@@ -12,16 +25,24 @@ unchanged.  Elimination is fraction-free integer Gaussian elimination
 on sparse rows with gcd normalization, pivoting on the column of
 highest termination measure so that fill-in follows the same downhill
 structure the rewrite rules do.  That order needs no sort: column j, top
-word t over bottom word b, gets the key j - (inv(t) + imv(b)) * r^(2n).
+word t over bottom word b, gets the key j - (inv(t) + imv(b)) * r^(2n),
+and the blocked oracle names each column by its key, so that a row's
+pivot is its smallest column.
+
+The third route is a closed form per block.  The irreducible count of
+block (alpha, beta) is the coefficient of x^alpha y^beta in
+1 / sum_k (-1)^k e_k(x) h_k(y), the multigraded form of the Koszul-dual
+series (Hai-Lorenz, "Koszul algebras and the quantum MacMahon master
+theorem").
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .rewrite import SYSTEM_S, _leftmost_nf
-from .words import Biword, _at_least, imv, inv
+from .words import Biword, Word, _at_least, imv, inv
 
 DEFAULT_BUDGET = 10**6
 
@@ -89,6 +110,71 @@ def _relation_stencil(q: Fraction) -> dict[bool, list[tuple[int, int, int]]]:
     }
 
 
+def _column_keys(r: int, n: int) -> tuple[list[Word], list[int], list[int]]:
+    """The length-n words in base-r order, with each word's share of a pivot key.
+
+    Column j = index(t) * r^n + index(b), top word t over bottom word b,
+    has the key tops[index(t)] + bottoms[index(b)], which is
+    j - (inv(t) + imv(b)) * r^(2n).  As j < r^(2n), the keys order
+    columns by (-inv_plus, j), and j is the key modulo r^(2n).
+    """
+    words = list(itertools.product(range(1, r + 1), repeat=n))
+    size = len(words)
+    ambient = size * size
+    tops = [k * size - inv(w) * ambient for k, w in enumerate(words)]
+    bottoms = [k - imv(w) * ambient for k, w in enumerate(words)]
+    return words, tops, bottoms
+
+
+def _content_classes(r: int, words: list[Word]) -> dict[tuple[int, ...], list[int]]:
+    """Word indices grouped by content, the multiplicity of each letter 1..r."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for k, w in enumerate(words):
+        classes.setdefault(tuple(map(w.count, range(1, r + 1))), []).append(k)
+    return classes
+
+
+def _relation_blocks(r: int, n: int, q: Fraction):
+    """Yield (alpha, beta, columns, rows) for each content block in turn.
+
+    alpha and beta are the top and bottom contents and columns is the
+    number of biwords in the block.  rows are its relation rows, one per
+    biword and double-descent position, with each column named by its
+    pivot key (see _column_keys), so that a row's pivot is its minimum.
+    """
+    stencil = _relation_stencil(q)
+    words, tops, bottoms = _column_keys(r, n)
+    index = {w: k for k, w in enumerate(words)}
+
+    def swaps(w: Word, weak: bool) -> dict[int, int]:
+        # Descent position i -> index of w with letters i and i + 1 swapped.
+        return {
+            i: index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]]
+            for i in range(n - 1)
+            if w[i] > w[i + 1] or weak and w[i] == w[i + 1]
+        }
+
+    strict = [swaps(w, False) for w in words]
+    weak = [swaps(w, True) for w in words]
+    classes = _content_classes(r, words)
+    for alpha, top_class in classes.items():
+        for beta, bottom_class in classes.items():
+            rows = []
+            for t in top_class:
+                for b in bottom_class:
+                    bottom_swaps = weak[b]
+                    for i, t2 in strict[t].items():
+                        b2 = bottom_swaps.get(i)
+                        if b2 is None:
+                            continue
+                        key_t = tops[t], tops[t2]
+                        key_b = bottoms[b], bottoms[b2]
+                        rows.append(
+                            {key_t[ti] + key_b[bi]: c for ti, bi, c in stencil[b == b2]}
+                        )
+            yield alpha, beta, len(top_class) * len(bottom_class), rows
+
+
 def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     """Sparse integer rows spanning the degree-n relation space.
 
@@ -96,37 +182,21 @@ def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     is column index(t) * r^n + index(b), where index reads a word as a
     base-r numeral with digits letter - 1.  One row per placement of a
     reducible pair between a left and a right context; n < 2 gives no
-    rows.
+    rows.  Rows come one content block after another, in the order the
+    blocked oracle ranks them.
     """
     _at_least(1, r=r)
     _at_least(0, degree=n)
     q = _as_q(q_value)
-    stencil = _relation_stencil(q)
-    size = r**n
+    ambient = r ** (2 * n)
     # Rows share one int object per column; a fresh int per entry would
     # grow the matrix by about a quarter-million objects for r=2, n=8.
-    column = list(range(size * size))
-    rows: list[dict[int, int]] = []
-    for i in range(n - 1):
-        # The pair's place value is the number of right contexts.
-        rights = range(r ** (n - 2 - i))
-        place = len(rights)
-        lefts = range(0, size, place * r * r)
-        for pair in reducible_pairs(r):
-            (x, y), (a, b) = pair.top, pair.bottom
-            tops = (x - 1) * r + y - 1, (y - 1) * r + x - 1
-            bottoms = (a - 1) * r + b - 1, (b - 1) * r + a - 1
-            entries = [
-                ((tops[ti] * size + bottoms[bi]) * place, coeff)
-                for ti, bi, coeff in stencil[a == b]
-            ]
-            for lt in lefts:
-                for lb in lefts:
-                    for rt in rights:
-                        base = (lt + rt) * size + lb
-                        for rb in rights:
-                            rows.append({column[base + rb + j]: c for j, c in entries})
-    return rows
+    column = list(range(ambient))
+    return [
+        {column[key % ambient]: c for key, c in row.items()}
+        for *_, rows in _relation_blocks(r, n, q)
+        for row in rows
+    ]
 
 
 def _normalize_row(row: dict[int, int]) -> None:
@@ -144,13 +214,10 @@ def rank(rows: list[dict[int, int]], priority=None) -> int:
     """Exact rank of sparse integer rows by fraction-free elimination.
 
     priority, if given, maps a column index to its pivoting key; smaller
-    keys are eliminated first.  The rank does not depend on it, only the
-    amount of fill-in does.
+    keys are eliminated first, and without it the smallest column index
+    is.  The rank does not depend on it, only the amount of fill-in does.
     """
-    if priority is None:
-        key = lambda j: j
-    else:
-        key = priority.__getitem__
+    key = None if priority is None else priority.__getitem__
     pivots: dict[int, dict[int, int]] = {}
     found = 0
     for row in rows:
@@ -181,12 +248,40 @@ def rank(rows: list[dict[int, int]], priority=None) -> int:
 
 def _measure_priority(r: int, n: int) -> list[int]:
     # Pivot on high-measure columns first; mirrors the rewrite direction.
-    # As j < r^(2n), the keys order columns by (-inv_plus, j).
-    words = list(itertools.product(range(1, r + 1), repeat=n))
-    size = r ** (2 * n)
-    tops = [inv(w) * size for w in words]
-    bottoms = [imv(w) * size for w in words]
-    return [j - t - b for j, (t, b) in enumerate(itertools.product(tops, bottoms))]
+    _, tops, bottoms = _column_keys(r, n)
+    return [t + b for t in tops for b in bottoms]
+
+
+def _closed_form(alpha: tuple[int, ...], beta: tuple[int, ...], memo: dict) -> int:
+    """Coefficient of x^alpha y^beta in F = 1 / D, D = sum_k (-1)^k e_k(x) h_k(y).
+
+    This is the irreducible count of the block with top content alpha and
+    bottom content beta.  e_k(x) h_k(y) counts the biwords of length k
+    whose top strictly decreases and whose bottom weakly decreases.
+    F = 1 + (1 - D) F gives each coefficient from coefficients of lower
+    degree; memo holds the ones found so far.
+    """
+    if not any(alpha):
+        return 0 if any(beta) else 1
+    if (alpha, beta) not in memo:
+        total = 0
+        support = [x for x, a in enumerate(alpha) if a]
+        for k in range(1, len(support) + 1):
+            sign = 1 if k % 2 else -1
+            for subset in itertools.combinations(support, k):
+                top = list(alpha)
+                for x in subset:
+                    top[x] -= 1
+                for multiset in itertools.combinations_with_replacement(
+                    range(len(beta)), k
+                ):
+                    bottom = list(beta)
+                    for y in multiset:
+                        bottom[y] -= 1
+                    if min(bottom) >= 0:
+                        total += sign * _closed_form(tuple(top), tuple(bottom), memo)
+        memo[alpha, beta] = total
+    return memo[alpha, beta]
 
 
 @dataclass
@@ -199,23 +294,42 @@ class DimensionReport:
     irreducible_count: int
     match: bool
     q_value: str = "1"
+    closed_form_count: int = field(kw_only=True)
 
 
-def check_basis_dimension(
-    r: int, n: int, q_value="one", budget: int = DEFAULT_BUDGET
-) -> DimensionReport:
-    """Compare the relation-space codimension with the irreducible count."""
-    _at_least(1, r=r)
-    _at_least(0, degree=n)
+def _ambient_within(r: int, n: int, budget: int) -> int:
+    """The column count r^(2n), refused when it exceeds budget."""
     ambient = r ** (2 * n)
     if ambient > budget:
         raise ValueError(
             f"degree {n} over alphabet 1..{r} needs {ambient} columns, "
             f"over the budget of {budget}"
         )
+    return ambient
+
+
+def check_basis_dimension(
+    r: int, n: int, q_value="one", budget: int = DEFAULT_BUDGET
+) -> DimensionReport:
+    """Compare the relation-space codimension with two irreducible counts.
+
+    The codimension is summed over content blocks, each ranked on its
+    own.  match requires it to equal the brute irreducible count, and
+    every block's codimension to equal the block's closed form.
+    """
+    _at_least(1, r=r)
+    _at_least(0, degree=n)
+    ambient = _ambient_within(r, n, budget)
     q = _as_q(q_value)
-    rows = relation_matrix(r, n, q)
-    relation_rank = rank(rows, _measure_priority(r, n)) if rows else 0
+    relation_rank = closed_form = 0
+    blocks_agree = True
+    memo: dict = {}
+    for alpha, beta, columns, rows in _relation_blocks(r, n, q):
+        block_rank = rank(rows)
+        expected = _closed_form(alpha, beta, memo)
+        relation_rank += block_rank
+        closed_form += expected
+        blocks_agree = blocks_agree and columns - block_rank == expected
     quotient = ambient - relation_rank
     irreducible = count_irreducible(r, n)
     return DimensionReport(
@@ -225,8 +339,9 @@ def check_basis_dimension(
         relation_rank=relation_rank,
         quotient_dim=quotient,
         irreducible_count=irreducible,
-        match=quotient == irreducible,
+        match=blocks_agree and quotient == irreducible,
         q_value=str(q),
+        closed_form_count=closed_form,
     )
 
 
@@ -235,19 +350,25 @@ def spanning_rank(r: int, n: int) -> int:
 
     Cross-validates the rewrite engine against the oracle: the rank must
     equal the quotient dimension, and it can only exceed the irreducible
-    count if some normal form escaped the irreducible span.
+    count if some normal form escaped the irreducible span.  Normal forms
+    keep content, so the rank is summed over content blocks.
     """
     _at_least(1, r=r)
     _at_least(0, degree=n)
-    size = r**n
-    words = list(itertools.product(range(1, r + 1), repeat=n))
-    index = {w: k for k, w in enumerate(words)}  # the base-r value of w
-    rows = [
-        {
-            index[t] * size + index[b]: c
-            for (t, b), c in _leftmost_nf((top, bottom), SYSTEM_S).items()
-        }
-        for top in words
-        for bottom in words
-    ]
-    return rank(rows, _measure_priority(r, n))
+    _ambient_within(r, n, DEFAULT_BUDGET)
+    words, tops, bottoms = _column_keys(r, n)
+    top_key = dict(zip(words, tops))
+    bottom_key = dict(zip(words, bottoms))
+    classes = _content_classes(r, words).values()
+    total = 0
+    for top_class in classes:
+        for bottom_class in classes:
+            rows = []
+            for i in top_class:
+                for j in bottom_class:
+                    nf = _leftmost_nf((words[i], words[j]), SYSTEM_S)
+                    rows.append(
+                        {top_key[t] + bottom_key[b]: c for (t, b), c in nf.items()}
+                    )
+            total += rank(rows)
+    return total

@@ -267,6 +267,7 @@ def _cmd_basis(args) -> int:
         ("relation-rank", report.relation_rank),
         ("quotient-dim", report.quotient_dim),
         ("irreducible-count", report.irreducible_count),
+        ("closed-form-count", report.closed_form_count),
         ("match", report.match),
     ]
     for key, value in pairs:

@@ -11,6 +11,8 @@ ints and are only checked against r where a bound is actually known.
 """
 
 from collections.abc import Iterable, Sequence
+from itertools import combinations, starmap
+from operator import ge, gt
 
 Word = tuple[int, ...]
 Rows = tuple[Word, Word]  # a biword as its plain (top, bottom) pair
@@ -24,8 +26,7 @@ def inv(word: Sequence[int]) -> int:
     >>> inv(())
     0
     """
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+    return sum(starmap(gt, combinations(word, 2)))
 
 
 def imv(word: Sequence[int]) -> int:
@@ -36,8 +37,7 @@ def imv(word: Sequence[int]) -> int:
     >>> imv((1, 2, 3))
     0
     """
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] >= word[j])
+    return sum(starmap(ge, combinations(word, 2)))
 
 
 def cross_inversions(u: Sequence[int], v: Sequence[int]) -> int:

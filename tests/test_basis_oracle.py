@@ -1,10 +1,14 @@
 """The linear-algebra dimension oracle."""
 
+import hashlib
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import rightq.rewrite
+from rightq import basis_oracle
 from rightq import (
     Expression,
     SYSTEM_S,
@@ -19,7 +23,7 @@ from rightq import (
     relation_matrix,
     spanning_rank,
 )
-from rightq.basis_oracle import _measure_priority
+from rightq.basis_oracle import _closed_form, _measure_priority
 
 
 def transfer_matrix_count(r: int, n: int) -> int:
@@ -143,6 +147,18 @@ def test_budget_guard():
         check_basis_dimension(3, 3, budget=100)
 
 
+def test_spanning_rank_budget_guard():
+    # Refused before a single normal form is built, in the same words.
+    rightq.rewrite.clear_caches()
+    with pytest.raises(ValueError) as spanning:
+        spanning_rank(2, 11)
+    assert not rightq.rewrite._NF_CACHES
+    with pytest.raises(ValueError) as dimension:
+        check_basis_dimension(2, 11)
+    assert str(spanning.value) == str(dimension.value)
+    assert "4194304 columns, over the budget of 1000000" in str(spanning.value)
+
+
 def test_q_zero_rejected():
     with pytest.raises(ValueError):
         check_basis_dimension(2, 2, 0)
@@ -201,3 +217,88 @@ def test_plain_memo_holds_bare_ints():
     memo = rightq.rewrite._NF_CACHES["s"]
     assert {(b.top, b.bottom) for b in enumerate_biwords(2, 4)} <= memo.keys()
     assert all(type(c) is int for nf in memo.values() for c in nf.values())
+
+
+_BLOCK_CASES = [(2, n) for n in range(7)] + [(3, n) for n in range(5)]
+
+
+def content(word):
+    return tuple(sorted(word))
+
+
+@pytest.mark.parametrize("q", [1, Fraction(3, 5), Fraction(-7, 2)])
+@pytest.mark.parametrize("r, n", _BLOCK_CASES)
+def test_blocked_rank_equals_whole_rank(r, n, q):
+    whole = rank(relation_matrix(r, n, q), _measure_priority(r, n))
+    assert check_basis_dimension(r, n, q).relation_rank == whole
+
+
+def test_relation_rows_lie_in_one_content_block():
+    for r, n in ((2, 5), (3, 3)):
+        biwords = enumerate_biwords(r, n)
+        for q in (1, Fraction(3, 5)):
+            for row in relation_matrix(r, n, q):
+                blocks = {
+                    (content(biwords[j].top), content(biwords[j].bottom)) for j in row
+                }
+                assert len(blocks) == 1
+
+
+# sha256 of the sorted rows, each as its sorted (column, value) items;
+# frozen from a builder that placed each reducible pair between every
+# left and right context, position by position
+_RELATION_DIGESTS = {
+    (2, 5, "one"): "4f14914894784117614d2a1464a0a1ec2640fe3f7e4b8ede8f989f2b525b44f5",
+    (2, 5, "3/5"): "c891dcda456cf93e0f3861fffe97034b5833bcb0ec2f0ed0e629d1a99ce631b1",
+    (3, 3, "one"): "bfd3b0d39a8c2e6066c7f96e35ee5035db02066a2344fa0be29a313fce1a62f3",
+    (3, 3, "3/5"): "b5b18591a4e00783b712262424725a30faf851a0cde1fc1cc6201ca7f2d2efff",
+}
+
+
+@pytest.mark.parametrize("r, n, q", list(_RELATION_DIGESTS))
+def test_relation_matrix_rows_unchanged(r, n, q):
+    rows = sorted(tuple(sorted(row.items())) for row in relation_matrix(r, n, q))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == _RELATION_DIGESTS[r, n, q]
+
+
+def compositions(r, n):
+    return [c for c in itertools.product(range(n + 1), repeat=r) if sum(c) == n]
+
+
+@pytest.mark.parametrize("r, n", _BLOCK_CASES)
+def test_closed_form_equals_brute_count_per_block(r, n):
+    def multiplicities(word):
+        return tuple(word.count(x) for x in range(1, r + 1))
+
+    brute = Counter(
+        (multiplicities(bw.top), multiplicities(bw.bottom))
+        for bw in enumerate_biwords(r, n)
+        if bw.is_irreducible()
+    )
+    memo = {}
+    for alpha in compositions(r, n):
+        for beta in compositions(r, n):
+            assert _closed_form(alpha, beta, memo) == brute[alpha, beta]
+    assert check_basis_dimension(r, n).closed_form_count == sum(brute.values())
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        {((1, 2), (2, 1)): 1},
+        # the total still agrees, but two blocks do not
+        {((1, 2), (2, 1)): 1, ((2, 1), (1, 2)): -1},
+    ],
+)
+def test_closed_form_disagreement_breaks_match(monkeypatch, shifts):
+    closed_form = basis_oracle._closed_form
+
+    def shifted(alpha, beta, memo):
+        return closed_form(alpha, beta, memo) + shifts.get((alpha, beta), 0)
+
+    monkeypatch.setattr(basis_oracle, "_closed_form", shifted)
+    report = check_basis_dimension(2, 3)
+    assert report.quotient_dim == report.irreducible_count == 40
+    assert report.closed_form_count == 40 + sum(shifts.values())
+    assert not report.match

@@ -248,12 +248,16 @@ def test_basis_report(capsys, tmp_path):
     assert table["relation-rank"] == "3"
     assert table["quotient-dim"] == "13"
     assert table["irreducible-count"] == "13"
+    assert table["closed-form-count"] == "13"
     assert table["match"] == "true"
     assert table["q"] == "1"
+    assert list(table)[-2:] == ["closed-form-count", "match"]
     saved = dict(
         line.split("\t", 1) for line in path.read_text().splitlines() if line
     )
     assert saved["quotient-dim"] == "13"
+    assert saved["closed-form-count"] == "13"
+    assert list(saved)[-2:] == ["closed-form-count", "match"]
 
 
 def test_basis_rational_q(capsys):

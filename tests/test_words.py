@@ -2,6 +2,7 @@
 
 import doctest
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -44,6 +45,15 @@ def test_imv_frozen(word, expected):
 )
 def test_cross_inversions_frozen(u, v, expected):
     assert cross_inversions(u, v) == expected
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=9).map(tuple))
+def test_inv_imv_match_pairwise_definition(w):
+    pairs = [(w[i], w[j]) for i in range(len(w)) for j in range(i + 1, len(w))]
+    strict = inv(w)
+    weak = imv(w)
+    assert type(strict) is int and strict == sum(1 for x, y in pairs if x > y)
+    assert type(weak) is int and weak == sum(1 for x, y in pairs if x >= y)
 
 
 @given(words(), words())
