@@ -21,10 +21,11 @@ the same rank.
 
 Rows at a rational evaluation point q = p/s are scaled by p*s (and the
 two-term rows by s) to clear denominators; row scaling leaves the rank
-unchanged.  Elimination is fraction-free integer Gaussian elimination
-on sparse rows with gcd normalization, pivoting on the column of
-highest termination measure so that fill-in follows the same downhill
-structure the rewrite rules do.  That order needs no sort: column j, top
+unchanged.  rank eliminates fraction-free on one copy of each input row,
+subtracting pivots from it in place and dividing out its content only
+as it becomes a pivot.  It pivots on the column of highest termination
+measure so that fill-in follows the same downhill structure the rewrite
+rules do.  That order needs no sort: column j, top
 word t over bottom word b, gets the key j - (inv(t) + imv(b)) * r^(2n),
 and the blocked oracle names each column by its key, so that a row's
 pivot is its smallest column.
@@ -37,9 +38,11 @@ theorem").
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import ge, gt
 
 from .rewrite import SYSTEM_S, _leftmost_nf
 from .words import Biword, Word, _at_least, imv, inv
@@ -58,18 +61,17 @@ def enumerate_biwords(r: int, n: int) -> list[Biword]:
 
 
 def count_irreducible(r: int, n: int) -> int:
-    """Brute enumeration count of length-n biwords with no double descent."""
-    alphabet = range(1, r + 1)
-    total = 0
-    for top in itertools.product(alphabet, repeat=n):
-        descents = [top[i] > top[i + 1] for i in range(n - 1)]
-        for bottom in itertools.product(alphabet, repeat=n):
-            if any(
-                descents[i] and bottom[i] >= bottom[i + 1] for i in range(n - 1)
-            ):
-                continue
-            total += 1
-    return total
+    """Brute enumeration count of length-n biwords with no double descent.
+
+    Such a biword's top strict descents and bottom weak descents lie at
+    disjoint positions, so each word is grouped by its positions as a bitmask.
+    """
+    words = list(itertools.product(range(1, r + 1), repeat=n))
+    strict, weak = (
+        Counter(sum(d << i for i, d in enumerate(map(rel, w, w[1:]))) for w in words)
+        for rel in (gt, ge)
+    )
+    return sum(t * b for s, t in strict.items() for w, b in weak.items() if not s & w)
 
 
 def reducible_pairs(r: int) -> list[Biword]:
@@ -199,51 +201,47 @@ def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     ]
 
 
-def _normalize_row(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for j in row:
-            row[j] //= g
-
-
 def rank(rows: list[dict[int, int]], priority=None) -> int:
     """Exact rank of sparse integer rows by fraction-free elimination.
 
     priority, if given, maps a column index to its pivoting key; smaller
     keys are eliminated first, and without it the smallest column index
     is.  The rank does not depend on it, only the amount of fill-in does.
+
+    The input rows are never mutated.  Each is copied once, without its
+    zeros.  Against the pivot of its lead column, with leads a and b and
+    g = gcd(a, b), the copy is scaled by a // g only if a does not divide
+    b, then loses b // g times the pivot in place.  A row becomes a pivot
+    divided by its content gcd, signed so that its lead is positive.
     """
     key = None if priority is None else priority.__getitem__
     pivots: dict[int, dict[int, int]] = {}
-    found = 0
     for row in rows:
         row = {j: v for j, v in row.items() if v}
         while row:
             lead = min(row, key=key)
             pivot = pivots.get(lead)
             if pivot is None:
-                _normalize_row(row)
+                g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
                 pivots[lead] = row
-                found += 1
                 break
             a = pivot[lead]
             b = row[lead]
             g = gcd(a, b)
-            am, bm = a // g, b // g
-            merged = {j: v * am for j, v in row.items()}
+            if g != a:
+                for j in row:
+                    row[j] *= a // g
+            b //= g
             for j, v in pivot.items():
-                w = merged.get(j, 0) - v * bm
+                w = row.get(j, 0) - v * b
                 if w:
-                    merged[j] = w
+                    row[j] = w
                 else:
-                    merged.pop(j, None)
-            _normalize_row(merged)
-            row = merged
-    return found
+                    del row[j]
+    return len(pivots)
 
 
 def _measure_priority(r: int, n: int) -> list[int]:

@@ -5,7 +5,9 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import rightq.rewrite
 from rightq import basis_oracle
@@ -115,6 +117,73 @@ def test_rank_with_priority_permutation():
     assert rank(rows) == rank(rows, [2, 0, 1]) == 3
 
 
+def snapshot(rows):
+    return [list(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        relation_matrix(2, 4, Fraction(3, 5)),
+        [{0: 0, 1: 6, 2: -4}, {1: 3, 2: 0, 3: -2}, {0: 0}, {}, {1: -9, 3: 6}],
+    ],
+    ids=["q=3/5", "zeros"],
+)
+def test_rank_leaves_its_input_rows_unchanged(rows):
+    before = snapshot(rows)
+    columns = {j for row in rows for j in row}
+    priority = {j: -j for j in columns}
+    assert rank(rows) == rank(rows, priority)
+    assert snapshot(rows) == before
+
+
+def fraction_rank(rows, columns):
+    """Rank by Gaussian elimination over the rationals, on dense rows."""
+    matrix = [[Fraction(row.get(j, 0)) for j in range(columns)] for row in rows]
+    found = 0
+    for j in range(columns):
+        pivot = next((i for i in range(found, len(matrix)) if matrix[i][j]), None)
+        if pivot is None:
+            continue
+        matrix[found], matrix[pivot] = matrix[pivot], matrix[found]
+        top = matrix[found]
+        for i in range(found + 1, len(matrix)):
+            factor = matrix[i][j] / top[j]
+            matrix[i] = [x - factor * y for x, y in zip(matrix[i], top)]
+        found += 1
+    return found
+
+
+_COLUMNS = 6
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rows with zero entries, negative leads and non-unit content, and
+    repeats of earlier rows under a scalar factor."""
+    entries = st.dictionaries(
+        st.integers(0, _COLUMNS - 1), st.integers(-12, 12), max_size=_COLUMNS
+    )
+    content = st.sampled_from([1, 1, 2, 3, 6])
+    rows = [
+        {j: v * c for j, v in row.items()}
+        for row, c in draw(st.lists(st.tuples(entries, content), max_size=8))
+    ]
+    for i, factor in draw(
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from([1, -1, 2, -3])))
+    ):
+        if i < len(rows):
+            rows.append({j: v * factor for j, v in rows[i].items()})
+    return draw(st.permutations(rows))
+
+
+@given(sparse_matrices(), st.permutations(range(_COLUMNS)))
+def test_rank_equals_rational_elimination(rows, priority):
+    expected = fraction_rank(rows, _COLUMNS)
+    assert rank(rows) == expected
+    assert rank(rows, priority) == expected
+
+
 def test_dimension_report_smallest_case():
     report = check_basis_dimension(2, 2)
     assert report.ambient_dim == 16
@@ -220,6 +289,22 @@ def test_plain_memo_holds_bare_ints():
 
 
 _BLOCK_CASES = [(2, n) for n in range(7)] + [(3, n) for n in range(5)]
+
+
+def per_biword_count(r, n):
+    """Irreducible biwords counted one by one, position by position."""
+    return sum(
+        not any(
+            top[i] > top[i + 1] and bottom[i] >= bottom[i + 1] for i in range(n - 1)
+        )
+        for top in itertools.product(range(1, r + 1), repeat=n)
+        for bottom in itertools.product(range(1, r + 1), repeat=n)
+    )
+
+
+@pytest.mark.parametrize("r, n", [(2, 7)] + _BLOCK_CASES)
+def test_irreducible_count_equals_per_biword_count(r, n):
+    assert count_irreducible(r, n) == per_biword_count(r, n)
 
 
 def content(word):
