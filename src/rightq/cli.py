@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .basis_oracle import check_basis_dimension, reducible_pairs
+from .basis_oracle import _as_q, check_basis_dimension, reducible_pairs
 from .expressions import Expression
 from .laurent import Laurent
 from .macmahon import qmm_check
@@ -23,6 +23,7 @@ from .rewrite import (
     RIGHTMOST,
     SYSTEM_S,
     TermCapExceeded,
+    _random_rows,
     check_ambiguity,
     check_confluence_fuzz,
     random_strategy,
@@ -71,12 +72,9 @@ def _strategy_arg(text: str):
 
 def _q_arg(text: str) -> Fraction:
     try:
-        q = Fraction(text)
+        return _as_q(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-    if q == 0:
-        raise argparse.ArgumentTypeError("q must be nonzero")
-    return q
+        raise argparse.ArgumentTypeError(f"bad q {text!r}: {exc}") from exc
 
 
 def _cmd_normalize(args) -> int:
@@ -160,22 +158,14 @@ def _cmd_check_confluence(args) -> int:
     return 0 if report.ok else 1
 
 
-def _random_biword(rng: random.Random, r: int, max_len: int) -> Biword:
-    n = rng.randint(0, max_len)
-    return Biword._make(
-        tuple(rng.randint(1, r) for _ in range(n)),
-        tuple(rng.randint(1, r) for _ in range(n)),
-    )
-
-
 def _random_ideal_member(rng: random.Random, r: int, max_len: int) -> Expression:
     pairs = reducible_pairs(r)
     acc = Expression.zero()
     for _ in range(rng.randint(1, 3)):
         g = pairs[rng.randrange(len(pairs))]
         room = max_len - 2
-        left = _random_biword(rng, r, rng.randint(0, room))
-        right = _random_biword(rng, r, room - len(left))
+        left = Biword._make(*_random_rows(rng, r, rng.randint(0, room)))
+        right = Biword._make(*_random_rows(rng, r, room - len(left)))
         relation = Expression.single(g) - rewrite_at(g, 1, SYSTEM_S)
         wrapped = Expression.single(left).product(relation).product(
             Expression.single(right)
@@ -187,7 +177,7 @@ def _random_ideal_member(rng: random.Random, r: int, max_len: int) -> Expression
 def _random_expression(rng: random.Random, r: int, max_len: int) -> Expression:
     acc: dict[Biword, Laurent] = {}
     for _ in range(rng.randint(1, 4)):
-        bw = _random_biword(rng, r, max_len)
+        bw = Biword._make(*_random_rows(rng, r, max_len))
         c = Laurent.q_power(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)))
         acc[bw] = acc.get(bw, Laurent.integer(0)) + c
     return Expression(acc)

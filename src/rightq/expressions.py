@@ -12,6 +12,17 @@ from .laurent import Laurent, ONE, as_laurent
 from .words import Biword, Rows, row_key
 
 
+def _accumulate(acc: dict, terms: dict, scale: "Laurent | int" = 1) -> None:
+    """acc += scale * terms, keyed by rows, dropping cancelled terms."""
+    for rows, k in terms.items():
+        s = acc.get(rows)
+        s = k * scale if s is None else s + k * scale
+        if s:
+            acc[rows] = s
+        else:
+            acc.pop(rows, None)
+
+
 def _graded_rows(left: dict, right: dict, max_degree: int):
     """Components of left * right in degrees 0..max_degree, for terms keyed
     by (top, bottom); each is summed directly over left_k * right_(d-k), so
@@ -108,13 +119,7 @@ class Expression:
         if not isinstance(other, Expression):
             return NotImplemented
         merged = dict(self._terms)
-        for rows, c in other._terms.items():
-            s = merged.get(rows)
-            s = c if s is None else s + c
-            if s:
-                merged[rows] = s
-            else:
-                merged.pop(rows, None)
+        _accumulate(merged, other._terms)
         return Expression._make(merged)
 
     def __sub__(self, other: "Expression") -> "Expression":

@@ -11,7 +11,7 @@ class Laurent:
     by convention and safe to share.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -20,14 +20,12 @@ class Laurent:
                 if c:
                     clean[e] = c
         self._terms = clean
-        self._hash: int | None = None
 
     @classmethod
     def _make(cls, terms: dict[int, int]) -> "Laurent":
         # Trusted constructor: terms must already contain no zero values.
         self = object.__new__(cls)
         self._terms = terms
-        self._hash = None
         return self
 
     @classmethod
@@ -60,10 +58,8 @@ class Laurent:
 
     def __hash__(self) -> int:
         # A constant equals its int, so it must hash like one.
-        if self._hash is None:
-            t = self._terms
-            self._hash = hash(t.get(0, 0) if t.keys() <= {0} else frozenset(t.items()))
-        return self._hash
+        t = self._terms
+        return hash(t.get(0, 0) if t.keys() <= {0} else frozenset(t.items()))
 
     def __neg__(self) -> "Laurent":
         return Laurent._make({e: -c for e, c in self._terms.items()})

@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .expressions import Expression
+from .expressions import Expression, _accumulate
 from .laurent import Laurent, ONE, Q, Q_INV
 from .words import Biword, Rows, Word, _at_least, format_word_pair, imv, inv, row_key
 
@@ -371,17 +371,11 @@ def clear_caches() -> None:
     _NF_CACHES.clear()
 
 
-def _accumulate(acc: dict, terms: dict, scale: "Laurent | int") -> None:
-    """acc += scale * terms, dropping cancelled terms, within the term cap."""
-    for term, k in terms.items():
-        s = acc.get(term)
-        s = k * scale if s is None else s + k * scale
-        if s:
-            acc[term] = s
-        else:
-            del acc[term]
-    if len(acc) > DEFAULT_TERM_CAP:
+def _within_cap(terms: dict) -> dict:
+    """terms itself, once it is known to hold at most the term cap."""
+    if len(terms) > DEFAULT_TERM_CAP:
         raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
+    return terms
 
 
 def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
@@ -414,10 +408,9 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
                 result = {}
             for child, _, coeff, _ in children:
                 _accumulate(result, memo[child], coeff)
+                _within_cap(result)
             memo[cur] = result
-    if len(memo[rows]) > DEFAULT_TERM_CAP:
-        raise TermCapExceeded(f"normal form exceeded {DEFAULT_TERM_CAP} terms")
-    return memo[rows]
+    return _within_cap(memo[rows])
 
 
 def reduce_biword(
@@ -438,6 +431,7 @@ def _normal_rows(expr: Expression, system: ReductionSystem) -> dict:
     acc: dict[Rows, Laurent | int] = {}
     for rows, c in _lowered(expr._terms).items():
         _accumulate(acc, _leftmost_nf(rows, system), c)
+        _within_cap(acc)
     return acc
 
 
@@ -470,6 +464,13 @@ def check_ambiguity(
     return left == right
 
 
+def _random_rows(rng: random.Random, r: int, max_len: int) -> Rows:
+    """Random rows over 1..r: draws the length, then the top, then the bottom."""
+    n = rng.randint(0, max_len)
+    top = tuple(rng.randint(1, r) for _ in range(n))
+    return top, tuple(rng.randint(1, r) for _ in range(n))
+
+
 def check_confluence_fuzz(
     r: int, max_len: int, trials: int, seed: int, system: ReductionSystem
 ) -> ConfluenceReport:
@@ -479,9 +480,7 @@ def check_confluence_fuzz(
     rng = random.Random(seed)
     report = ConfluenceReport(r, max_len, trials, seed, system.tag)
     for _ in range(trials):
-        n = rng.randint(0, max_len)
-        top = tuple(rng.randint(1, r) for _ in range(n))
-        bottom = tuple(rng.randint(1, r) for _ in range(n))
+        top, bottom = _random_rows(rng, r, max_len)
         canonical = _leftmost_nf((top, bottom), system)
         alt = {(top, bottom): 1}
         strategy = random_strategy(rng.getrandbits(32))

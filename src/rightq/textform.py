@@ -1,23 +1,27 @@
 """Textual form of biwords and expressions.
 
-Grammar (whitespace between tokens is insignificant):
+Grammar (whitespace between tokens is insignificant), as the parser
+reads it:
 
-    expr    := term (('+'|'-') term)* | '0'
-    term    := [coeff '*'] biword | coeff
-    coeff   := int | [int '*'] 'q' ['^' int]
+    expr    := term (('+'|'-') term)*
+    term    := '-'* [int '*'] [qpower '*'] biword | '-'* coeff
+    coeff   := int | [int '*'] qpower
+    qpower  := 'q' ['^' ['-'] int]
     biword  := digits '/' digits | '(' intlist ')' '/' '(' intlist ')' | 'e'
 
-In the digits form every digit is one letter, so it only covers letters
-1..9; the parenthesized form covers any letters.  'e' is the empty
-biword.  A bare coeff is a multiple of 'e'.  The printer emits terms in
-canonical order (degree, then top word, then bottom word; exponents
-ascending inside one coefficient) and always stays inside the grammar;
-the parser additionally tolerates a unary minus in front of a term.
+An int is a coefficient unless a '/' follows it, when it is the top row
+of a digits biword.  In the digits form every digit is one letter, so it
+only covers letters 1..9; the parenthesized form covers any letters.
+'e' is the empty biword.  A term that stops after its coefficient is a
+multiple of 'e', so '0' is the zero expression.  The printer emits
+terms in canonical order (degree, then top word, then bottom word;
+exponents ascending inside one coefficient), never a unary minus, and
+always stays inside the grammar.
 """
 
 from typing import NamedTuple
 
-from .expressions import Expression
+from .expressions import Expression, _accumulate
 from .laurent import Laurent
 from .words import Biword, Rows, format_word_pair
 
@@ -177,72 +181,45 @@ class _Parser:
         value = int(tok.text)
         return -value if negative else value
 
-    def _q_power(self, coefficient: int) -> Laurent:
-        self.next()  # the 'q'
-        exponent = 1
-        if self.at_sym("^"):
-            self.next()
-            exponent = self._signed_int()
-        return Laurent.q_power(exponent, coefficient)
-
     def term(self, sign: int) -> tuple[Rows, Laurent]:
         while self.at_sym("-"):
             self.next()
             sign = -sign
         tok = self.peek()
-        if tok.kind == "name" and tok.text == "e":
+        if tok.kind == "end" or tok.kind == "sym" and tok.text != "(":
+            raise self.fail("a term")
+        coefficient, exponent = sign, 0
+        if tok.kind == "int" and self.tokens[self.i + 1].text != "/":
             self.next()
-            return _EMPTY, Laurent.integer(sign)
-        if self.at_sym("("):
-            return self.biword(), Laurent.integer(sign)
-        if tok.kind == "name" and tok.text == "q":
-            coeff = self._q_power(sign)
-            return self._optional_biword(), coeff
-        if tok.kind == "int":
-            if self.tokens[self.i + 1].kind == "sym" and self.tokens[
-                self.i + 1
-            ].text == "/":
-                return self.biword(), Laurent.integer(sign)
-            self.next()
-            value = sign * int(tok.text)
+            coefficient *= int(tok.text)
             if not self.at_sym("*"):
-                return _EMPTY, Laurent.integer(value)
+                return _EMPTY, Laurent.integer(coefficient)
             self.next()
-            after = self.peek()
-            if after.kind == "name" and after.text == "q":
-                coeff = self._q_power(value)
-                return self._optional_biword(), coeff
-            return self.biword(), Laurent.integer(value)
-        raise self.fail("a term")
-
-    def _optional_biword(self) -> Rows:
-        if self.at_sym("*"):
+        tok = self.peek()
+        if tok.kind == "name" and tok.text == "q":
             self.next()
-            return self.biword()
-        return _EMPTY
+            exponent = 1
+            if self.at_sym("^"):
+                self.next()
+                exponent = self._signed_int()
+            if not self.at_sym("*"):
+                return _EMPTY, Laurent.q_power(exponent, coefficient)
+            self.next()
+        return self.biword(), Laurent.q_power(exponent, coefficient)
 
     def expression(self) -> Expression:
         acc: dict[Rows, Laurent] = {}
-
-        def absorb(rows: Rows, coeff: Laurent) -> None:
-            s = acc.get(rows)
-            s = coeff if s is None else s + coeff
-            if s:
-                acc[rows] = s
-            else:
-                acc.pop(rows, None)
-
-        absorb(*self.term(1))
+        sign = 1
         while True:
+            rows, coeff = self.term(sign)
+            _accumulate(acc, {rows: coeff})
             tok = self.peek()
             if tok.kind == "end":
-                break
-            if tok.kind == "sym" and tok.text in "+-":
-                self.next()
-                absorb(*self.term(1 if tok.text == "+" else -1))
-            else:
+                return Expression._make(acc)
+            if tok.kind != "sym" or tok.text not in "+-":
                 raise self.fail("'+', '-' or end of input")
-        return Expression._make(acc)
+            self.next()
+            sign = 1 if tok.text == "+" else -1
 
 
 def parse_expression(text: str, r: int | None = None) -> Expression:

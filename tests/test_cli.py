@@ -170,6 +170,24 @@ def test_check_ambiguities(capsys):
     assert all(line.endswith("ok") for line in overlap_lines)
 
 
+def test_check_ambiguities_covers_every_order_pattern(capsys):
+    # A rule compares letters only within a row, so an overlap 321/abc
+    # resolves the same way for every (a, b, c) of one order pattern.
+    code, out, _ = run(capsys, "check", "ambiguities")
+    assert code == 0
+    patterns = {tag: set() for tag in ("s", "sq")}
+    for line in out.splitlines():
+        if line.startswith("overlap\t"):
+            tag, overlap, verdict = line.split("\t")[1].split()
+            top, bottom = overlap.split("/")
+            a, b, c = map(int, bottom)
+            assert (top, verdict) == ("321", "ok") and a >= b >= c
+            patterns[tag].add(("=" if a == b else ">") + ("=" if b == c else ">"))
+    every = {first + second for first in "=>" for second in "=>"}
+    assert every == {">>", "=>", ">=", "=="}
+    assert patterns == {"s": every, "sq": every}
+
+
 def test_check_ambiguities_single_system(capsys):
     code, out, _ = run(capsys, "check", "ambiguities", "--system", "sq")
     assert code == 0

@@ -73,6 +73,12 @@ def test_parse_expression_sums_and_signs():
     assert e.coefficient(EMPTY_BIWORD) == 2
     # repeated biwords merge, cancellations drop out
     assert parse_expression("21/12 - 21/12").is_zero()
+    # a zero coefficient merges like any other, into a present or absent term
+    bw = Expression.single(Biword((2, 1), (1, 2)))
+    assert parse_expression("0*21/12").is_zero()
+    assert parse_expression("0 + 21/12") == bw
+    assert parse_expression("21/12 + 0*q*21/12") == bw
+    assert parse_expression("q - q + e") == Expression.unit()
     assert parse_expression("q*11/11 + 11/11 - q*11/11") == Expression.single(
         Biword((1, 1), (1, 1))
     )
@@ -87,22 +93,25 @@ def test_parse_expression_sums_and_signs():
 
 def test_parse_error_positions():
     cases = [
-        ("", 0),
-        ("   ", 3),
-        ("q^", 2),
-        ("21/", 3),
-        ("21//12", 3),
-        ("3*", 2),
-        ("21/12 21/12", 6),
-        ("x", 0),
-        ("(1,2/(1,2)", 4),
-        ("+", 0),
-        ("2q", 1),
+        ("", "offset 0: expected a term, found end of input"),
+        ("   ", "offset 3: expected a term, found end of input"),
+        ("q^", "offset 2: expected an integer, found end of input"),
+        ("21/", "offset 3: expected a digit string, found end of input"),
+        ("21//12", "offset 3: expected a digit string, found '/'"),
+        ("3*", "offset 2: expected a biword, found end of input"),
+        ("21/12 21/12", "offset 6: expected '+', '-' or end of input, found '21'"),
+        ("x", "offset 0: expected a token, found 'x'"),
+        ("(1,2/(1,2)", "offset 4: expected ')', found '/'"),
+        ("+", "offset 0: expected a term, found '+'"),
+        ("2q", "offset 1: expected '+', '-' or end of input, found 'q'"),
+        (")", "offset 0: expected a term, found ')'"),
+        ("q^*2", "offset 2: expected an integer, found '*'"),
+        ("12 - ", "offset 5: expected a term, found end of input"),
     ]
-    for text, position in cases:
+    for text, message in cases:
         with pytest.raises(ParseError) as info:
             parse_expression(text)
-        assert info.value.position == position, text
+        assert str(info.value) == message, text
 
 
 def test_length_mismatch():
