@@ -12,12 +12,14 @@ whose top word has letter multiplicities alpha and whose bottom word
 has multiplicities beta.  The oracle builds, ranks and discards one
 (alpha, beta) block at a time and sums the ranks, so memory follows the
 largest block (4,900 of the 65,536 columns for r = 2, n = 8), not the
-whole matrix.  Nothing is lost: eliminating a row only ever subtracts
-pivot rows that share its pivot column, hence its block, so the whole
-matrix's elimination never mixes blocks.  relation_matrix lists the
-rows block by block in the order the blocks are ranked, so ranking it
-whole does the blocked elimination step for step: the same fill-in and
-the same rank.
+whole matrix.  relation_matrix, check_basis_dimension and spanning_rank
+all enter through _blocks, which checks r, the degree and the column
+budget, then walks the blocks lazily.  Nothing is lost: eliminating a
+row only ever subtracts pivot rows that share its pivot column, hence
+its block, so the whole matrix's elimination never mixes blocks.
+relation_matrix lists the rows block by block in the order the blocks
+are ranked, so ranking it whole does the blocked elimination step for
+step: the same fill-in and the same rank.
 
 Rows at a rational evaluation point q = p/s are scaled by p*s (and the
 two-term rows by s) to clear denominators; row scaling leaves the rank
@@ -128,53 +130,67 @@ def _column_keys(r: int, n: int) -> tuple[list[Word], list[int], list[int]]:
     return words, tops, bottoms
 
 
-def _content_classes(r: int, words: list[Word]) -> dict[tuple[int, ...], list[int]]:
-    """Word indices grouped by content, the multiplicity of each letter 1..r."""
+def _blocks(r: int, n: int, budget: int = DEFAULT_BUDGET):
+    """The oracle's one entry: words, their pivot-key shares and a block walk.
+
+    r, n and the column budget are checked before any work.  The walk
+    yields (alpha, beta, top indices, bottom indices) one block at a time.
+    """
+    _at_least(1, r=r)
+    _at_least(0, degree=n)
+    ambient = r ** (2 * n)
+    if ambient > budget:
+        raise ValueError(
+            f"degree {n} over alphabet 1..{r} needs {ambient} columns, "
+            f"over the budget of {budget}"
+        )
+    words, tops, bottoms = _column_keys(r, n)
     classes: dict[tuple[int, ...], list[int]] = {}
     for k, w in enumerate(words):
         classes.setdefault(tuple(map(w.count, range(1, r + 1))), []).append(k)
-    return classes
+    blocks = (
+        (alpha, beta, top_class, bottom_class)
+        for alpha, top_class in classes.items()
+        for beta, bottom_class in classes.items()
+    )
+    return words, tops, bottoms, blocks
 
 
-def _relation_blocks(r: int, n: int, q: Fraction):
-    """Yield (alpha, beta, columns, rows) for each content block in turn.
+def _relation_blocks(words, tops, bottoms, blocks, q: Fraction):
+    """Yield (alpha, beta, columns, rows) for each block of _blocks in turn.
 
-    alpha and beta are the top and bottom contents and columns is the
-    number of biwords in the block.  rows are its relation rows, one per
-    biword and double-descent position, with each column named by its
-    pivot key (see _column_keys), so that a row's pivot is its minimum.
+    columns is the number of biwords in the block.  rows are its
+    relation rows, one per biword and double-descent position, with each
+    column named by its pivot key, so that a row's pivot is its minimum.
     """
     stencil = _relation_stencil(q)
-    words, tops, bottoms = _column_keys(r, n)
     index = {w: k for k, w in enumerate(words)}
 
     def swaps(w: Word, weak: bool) -> dict[int, int]:
         # Descent position i -> index of w with letters i and i + 1 swapped.
         return {
             i: index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]]
-            for i in range(n - 1)
+            for i in range(len(w) - 1)
             if w[i] > w[i + 1] or weak and w[i] == w[i + 1]
         }
 
     strict = [swaps(w, False) for w in words]
     weak = [swaps(w, True) for w in words]
-    classes = _content_classes(r, words)
-    for alpha, top_class in classes.items():
-        for beta, bottom_class in classes.items():
-            rows = []
-            for t in top_class:
-                for b in bottom_class:
-                    bottom_swaps = weak[b]
-                    for i, t2 in strict[t].items():
-                        b2 = bottom_swaps.get(i)
-                        if b2 is None:
-                            continue
-                        key_t = tops[t], tops[t2]
-                        key_b = bottoms[b], bottoms[b2]
-                        rows.append(
-                            {key_t[ti] + key_b[bi]: c for ti, bi, c in stencil[b == b2]}
-                        )
-            yield alpha, beta, len(top_class) * len(bottom_class), rows
+    for alpha, beta, top_class, bottom_class in blocks:
+        rows = []
+        for t in top_class:
+            for b in bottom_class:
+                bottom_swaps = weak[b]
+                for i, t2 in strict[t].items():
+                    b2 = bottom_swaps.get(i)
+                    if b2 is None:
+                        continue
+                    key_t = tops[t], tops[t2]
+                    key_b = bottoms[b], bottoms[b2]
+                    rows.append(
+                        {key_t[ti] + key_b[bi]: c for ti, bi, c in stencil[b == b2]}
+                    )
+        yield alpha, beta, len(top_class) * len(bottom_class), rows
 
 
 def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
@@ -185,10 +201,10 @@ def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     base-r numeral with digits letter - 1.  One row per placement of a
     reducible pair between a left and a right context; n < 2 gives no
     rows.  Rows come one content block after another, in the order the
-    blocked oracle ranks them.
+    blocked oracle ranks them.  Like the other entries, it refuses more
+    than DEFAULT_BUDGET columns.
     """
-    _at_least(1, r=r)
-    _at_least(0, degree=n)
+    walk = _blocks(r, n)
     q = _as_q(q_value)
     ambient = r ** (2 * n)
     # Rows share one int object per column; a fresh int per entry would
@@ -196,7 +212,7 @@ def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     column = list(range(ambient))
     return [
         {column[key % ambient]: c for key, c in row.items()}
-        for *_, rows in _relation_blocks(r, n, q)
+        for *_, rows in _relation_blocks(*walk, q)
         for row in rows
     ]
 
@@ -250,6 +266,23 @@ def _measure_priority(r: int, n: int) -> list[int]:
     return [t + b for t in tops for b in bottoms]
 
 
+def _lower_terms(top: tuple[int, ...], bottom: tuple[int, ...]):
+    """(sign, (top', bottom')) for each term of (1 - D) F at x^top y^bottom."""
+    support = [x for x, a in enumerate(top) if a]
+    for k in range(1, len(support) + 1):
+        sign = 1 if k % 2 else -1
+        for subset in itertools.combinations(support, k):
+            # tuple() of a list, not of a generator: the generator form
+            # raised the traced peak of r = 2, n = 8 by about 0.1 MB.
+            lower_top = tuple([a - subset.count(x) for x, a in enumerate(top)])
+            for multiset in itertools.combinations_with_replacement(
+                range(len(bottom)), k
+            ):
+                lower = tuple([b - multiset.count(y) for y, b in enumerate(bottom)])
+                if min(lower) >= 0:
+                    yield sign, (lower_top, lower)
+
+
 def _closed_form(alpha: tuple[int, ...], beta: tuple[int, ...], memo: dict) -> int:
     """Coefficient of x^alpha y^beta in F = 1 / D, D = sum_k (-1)^k e_k(x) h_k(y).
 
@@ -257,28 +290,20 @@ def _closed_form(alpha: tuple[int, ...], beta: tuple[int, ...], memo: dict) -> i
     bottom content beta.  e_k(x) h_k(y) counts the biwords of length k
     whose top strictly decreases and whose bottom weakly decreases.
     F = 1 + (1 - D) F gives each coefficient from coefficients of lower
-    degree; memo holds the ones found so far.
+    degree; memo holds the ones found so far.  A stack stands in for
+    recursion: a coefficient goes back on it below its missing terms.
     """
-    if not any(alpha):
-        return 0 if any(beta) else 1
-    if (alpha, beta) not in memo:
-        total = 0
-        support = [x for x, a in enumerate(alpha) if a]
-        for k in range(1, len(support) + 1):
-            sign = 1 if k % 2 else -1
-            for subset in itertools.combinations(support, k):
-                top = list(alpha)
-                for x in subset:
-                    top[x] -= 1
-                for multiset in itertools.combinations_with_replacement(
-                    range(len(beta)), k
-                ):
-                    bottom = list(beta)
-                    for y in multiset:
-                        bottom[y] -= 1
-                    if min(bottom) >= 0:
-                        total += sign * _closed_form(tuple(top), tuple(bottom), memo)
-        memo[alpha, beta] = total
+    stack = [(alpha, beta)]
+    while stack:
+        cur = stack.pop()
+        if cur in memo:
+            continue
+        missing = [child for _, child in _lower_terms(*cur) if child not in memo]
+        if missing:
+            stack += [cur, *missing]
+        else:
+            unit = not any(cur[0] + cur[1])  # the 1 of F = 1 + (1 - D) F
+            memo[cur] = unit + sum(c * memo[child] for c, child in _lower_terms(*cur))
     return memo[alpha, beta]
 
 
@@ -295,17 +320,6 @@ class DimensionReport:
     closed_form_count: int = field(kw_only=True)
 
 
-def _ambient_within(r: int, n: int, budget: int) -> int:
-    """The column count r^(2n), refused when it exceeds budget."""
-    ambient = r ** (2 * n)
-    if ambient > budget:
-        raise ValueError(
-            f"degree {n} over alphabet 1..{r} needs {ambient} columns, "
-            f"over the budget of {budget}"
-        )
-    return ambient
-
-
 def check_basis_dimension(
     r: int, n: int, q_value="one", budget: int = DEFAULT_BUDGET
 ) -> DimensionReport:
@@ -315,14 +329,13 @@ def check_basis_dimension(
     own.  match requires it to equal the brute irreducible count, and
     every block's codimension to equal the block's closed form.
     """
-    _at_least(1, r=r)
-    _at_least(0, degree=n)
-    ambient = _ambient_within(r, n, budget)
+    walk = _blocks(r, n, budget)
     q = _as_q(q_value)
+    ambient = r ** (2 * n)
     relation_rank = closed_form = 0
     blocks_agree = True
     memo: dict = {}
-    for alpha, beta, columns, rows in _relation_blocks(r, n, q):
+    for alpha, beta, columns, rows in _relation_blocks(*walk, q):
         block_rank = rank(rows)
         expected = _closed_form(alpha, beta, memo)
         relation_rank += block_rank
@@ -349,24 +362,11 @@ def spanning_rank(r: int, n: int) -> int:
     Cross-validates the rewrite engine against the oracle: the rank must
     equal the quotient dimension, and it can only exceed the irreducible
     count if some normal form escaped the irreducible span.  Normal forms
-    keep content, so the rank is summed over content blocks.
+    keep content, so the rank is summed over content blocks.  The rows
+    are the memo's normal forms as they are, with (top, bottom) columns.
     """
-    _at_least(1, r=r)
-    _at_least(0, degree=n)
-    _ambient_within(r, n, DEFAULT_BUDGET)
-    words, tops, bottoms = _column_keys(r, n)
-    top_key = dict(zip(words, tops))
-    bottom_key = dict(zip(words, bottoms))
-    classes = _content_classes(r, words).values()
-    total = 0
-    for top_class in classes:
-        for bottom_class in classes:
-            rows = []
-            for i in top_class:
-                for j in bottom_class:
-                    nf = _leftmost_nf((words[i], words[j]), SYSTEM_S)
-                    rows.append(
-                        {top_key[t] + bottom_key[b]: c for (t, b), c in nf.items()}
-                    )
-            total += rank(rows)
-    return total
+    words, _, _, blocks = _blocks(r, n)
+    return sum(
+        rank([_leftmost_nf((words[t], words[b]), SYSTEM_S) for t in ts for b in bs])
+        for *_, ts, bs in blocks
+    )

@@ -10,6 +10,7 @@ parse error.  Setting RIGHTQ_VERBOSE=1 adds progress detail on stderr.
 import argparse
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -267,8 +268,23 @@ def _cmd_basis(args) -> int:
     return 0 if report.match else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a signed value such as -21/12, -q*21/12 or -7/2 as a value.
+
+    argparse takes an argument that starts with '-' for an option unless
+    it matches _negative_number_matcher, a private attribute that by
+    default matches only negative decimals.  This one also matches a '-'
+    followed by anything a term or a rational can start with; no option
+    of this program starts that way.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.qe(]")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rightq",
         description="Normal forms, weight transport and identity checks "
         "for biword expressions.",

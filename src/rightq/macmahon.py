@@ -19,6 +19,7 @@ from .rewrite import (
     LEFTMOST,
     SYSTEM_S,
     SYSTEM_SQ,
+    TermCapExceeded,
     _reduce_rows,
 )
 from .words import Rows, _at_least, inv
@@ -32,39 +33,44 @@ def _series_weighted(variant: str) -> bool:
     return variant == "q"
 
 
-def _ferm_rows(r: int, weighted: bool) -> dict[Rows, "Laurent | int"]:
-    acc: dict[Rows, Laurent | int] = {}
-    for mask in range(1 << r):
-        subset = tuple(i + 1 for i in range(r) if mask >> i & 1)
-        subset_sign = -1 if len(subset) % 2 else 1
-        for perm in itertools.permutations(subset):
-            k = inv(perm)
-            c = subset_sign * (-1 if k % 2 else 1)
-            acc[perm, subset] = Laurent.q_power(-k, c) if weighted else c
-    return acc
+def _ferm_terms(r: int, max_len: int, weighted: bool):
+    """The ferm terms on subsets of at most max_len letters, by size."""
+    for size in range(min(r, max_len) + 1):
+        subset_sign = -1 if size % 2 else 1
+        for subset in itertools.combinations(range(1, r + 1), size):
+            for perm in itertools.permutations(subset):
+                k = inv(perm)
+                c = subset_sign * (-1 if k % 2 else 1)
+                yield (perm, subset), Laurent.q_power(-k, c) if weighted else c
 
 
-def _bos_rows(r: int, max_len: int, weighted: bool) -> dict[Rows, "Laurent | int"]:
-    acc: dict[Rows, Laurent | int] = {}
+def _bos_terms(r: int, max_len: int, weighted: bool):
     for n in range(max_len + 1):
         for w in itertools.product(range(1, r + 1), repeat=n):
-            acc[tuple(sorted(w)), w] = Laurent.q_power(inv(w)) if weighted else 1
+            yield (tuple(sorted(w)), w), Laurent.q_power(inv(w)) if weighted else 1
+
+
+def _capped(terms, term_cap: int) -> dict[Rows, "Laurent | int"]:
+    """The terms as a dict, refused as soon as there are more than term_cap."""
+    acc = dict(itertools.islice(terms, term_cap + 1))
+    if len(acc) > term_cap:
+        raise TermCapExceeded(f"series exceeded {term_cap} terms")
     return acc
 
 
 def ferm(r: int, variant: str = "q") -> Expression:
     """The alternating subset-permutation sum over the alphabet 1..r.
 
-    Subsets are visited in increasing binary-mask order and permutations
+    Subsets are visited by size, then lexicographically, and permutations
     lexicographically, so construction order is reproducible.  The empty
     subset contributes the unit term.
     """
-    return Expression._make(_ferm_rows(r, _series_weighted(variant)))
+    return Expression._make(dict(_ferm_terms(r, r, _series_weighted(variant))))
 
 
 def bos(r: int, max_len: int, variant: str = "q") -> Expression:
     """Sum of q^(inv w) (sorted w / w) over words of length at most max_len."""
-    return Expression._make(_bos_rows(r, max_len, _series_weighted(variant)))
+    return Expression._make(dict(_bos_terms(r, max_len, _series_weighted(variant))))
 
 
 @dataclass
@@ -104,13 +110,16 @@ def qmm_check(
     reduce to the unit and every higher degree to zero.  The series and
     each degree component stay (top, bottom)-keyed dicts, with int
     coefficients under the plain variants, from construction through
-    the reduction.
+    the reduction.  Only terms of at most max_degree letters can reach a
+    component, so ferm is built on such subsets only, and each series is
+    refused as soon as it exceeds term_cap.
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree, term_cap=term_cap)
     weighted = _series_weighted(variant)
     system = SYSTEM_SQ if weighted else SYSTEM_S
-    f, b = _ferm_rows(r, weighted), _bos_rows(r, max_degree, weighted)
+    f = _capped(_ferm_terms(r, max_degree, weighted), term_cap)
+    b = _capped(_bos_terms(r, max_degree, weighted), term_cap)
     rows: list[DegreeResult] = []
     for degree, component in enumerate(_graded_rows(f, b, max_degree)):
         terms = len(component)

@@ -202,6 +202,15 @@ def test_dimension_report_degenerate_degrees():
         assert one.quotient_dim == r * r and one.match
 
 
+def test_one_letter_at_a_high_degree():
+    # One letter never meets the column budget (1^(2n) = 1 column), and the
+    # closed form descends from degree 1500 one letter at a time.
+    report = check_basis_dimension(1, 1500)
+    assert report.quotient_dim == report.irreducible_count == 1
+    assert report.closed_form_count == 1
+    assert report.match
+
+
 def test_dimension_report_rational_points():
     for q in (Fraction(3, 5), Fraction(-7, 2), 2):
         report = check_basis_dimension(2, 3, q)
@@ -224,7 +233,9 @@ def test_spanning_rank_budget_guard():
     assert not rightq.rewrite._NF_CACHES
     with pytest.raises(ValueError) as dimension:
         check_basis_dimension(2, 11)
-    assert str(spanning.value) == str(dimension.value)
+    with pytest.raises(ValueError) as matrix:
+        relation_matrix(2, 11)
+    assert str(spanning.value) == str(dimension.value) == str(matrix.value)
     assert "4194304 columns, over the budget of 1000000" in str(spanning.value)
 
 

@@ -292,6 +292,23 @@ def test_basis_rejects_zero_q(capsys):
     assert info.value.code == 2
 
 
+def test_basis_one_letter_high_degree(capsys):
+    code, out, _ = run(capsys, "basis", "--r", "1", "--degree", "1500")
+    assert code == 0
+    table = kv(out)
+    assert table["quotient-dim"] == table["closed-form-count"] == "1"
+    assert table["match"] == "true"
+
+
+def test_qmm_series_term_cap_exit(capsys):
+    code, out, err = run(
+        capsys, "qmm", "--r", "3", "--max-degree", "10", "--term-cap", "1000"
+    )
+    assert code == 1
+    assert "series exceeded 1000 terms" in err
+    assert "ok\t" not in out
+
+
 def test_basis_budget_error(capsys):
     code, _, err = run(capsys, "basis", "--r", "2", "--degree", "11")
     assert code == 2
@@ -308,3 +325,41 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+    # only a '-' before what can start a value makes that argument a value
+    for argv in (["normalize", "-x"], ["normalize", "--x", "12/12"], ["basis", "--q"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+
+# argparse reads an argument that starts with '-' as an option unless it
+# looks like a negative number; the parser widens that to signed values.
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["normalize", "-21/12"], "normal-form", "-1*21/12"),
+        (["normalize", "-2*21/12"], "normal-form", "-2*21/12"),
+        (["normalize", "-(2,1)/(1,2)"], "normal-form", "-1*21/12"),
+        (["normalize", "-e"], "normal-form", "-1*e"),
+        (["phi", "-q*21/12"], None, "-1*21/12"),
+        (["phi", "--inverse", "-q^-1*21/12"], None, "-1*21/12"),
+        (["normalize", "--", "-21/12"], "normal-form", "-1*21/12"),
+        (["basis", "--r", "2", "--degree", "2", "--q", "-7/2"], "q", "-7/2"),
+        (["basis", "--r", "2", "--degree", "2", "--q", "-.5"], "q", "-1/2"),
+        (["basis", "--r", "2", "--degree", "2", "--q=-7/2"], "q", "-7/2"),
+    ],
+)
+def test_signed_values_are_not_options(capsys, argv, key, value):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (kv(out)[key] if key else out.strip()) == value
+
+
+@pytest.mark.parametrize("expr", ["-21/12", "-21/21", "-3*321/221 + 21/11", "-q*21/12"])
+def test_normalize_output_feeds_back(capsys, expr):
+    code, out, _ = run(capsys, "normalize", "--system", "sq", expr)
+    assert code == 0
+    first = kv(out)["normal-form"]
+    code, out, _ = run(capsys, "normalize", "--system", "sq", first)
+    assert code == 0
+    assert kv(out)["normal-form"] == first

@@ -10,6 +10,7 @@ from rightq import (
     Expression,
     SYSTEM_S,
     SYSTEM_SQ,
+    TermCapExceeded,
     bos,
     ferm,
     parse_expression,
@@ -107,6 +108,23 @@ def test_qmm_trivial_alphabet():
     assert report.ok
     # every positive degree cancels before any rewriting happens
     assert all(row.rewrite_steps == 0 for row in report.per_degree)
+
+
+def test_series_over_the_term_cap_are_refused_before_any_reduction():
+    # bos(3, 10) has 88,573 terms.
+    before = rightq.rewrite.measure_check_count()
+    with pytest.raises(TermCapExceeded, match="series exceeded 1000 terms"):
+        qmm_check(3, 10, "strong", term_cap=1000)
+    assert rightq.rewrite.measure_check_count() == before
+
+
+@pytest.mark.parametrize("variant", ["strong", "q"])
+def test_large_alphabet_builds_only_the_subsets_a_degree_reaches(variant):
+    # ferm(30) has about 7e32 terms; those on at most two letters number 901.
+    report = qmm_check(30, 2, variant)
+    assert report.ok
+    terms = [row.term_count_before_reduction for row in report.per_degree]
+    assert terms == [1, 0, 1740]
 
 
 def test_strong_check_matches_plain_variant():
