@@ -44,10 +44,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import ge, gt
 
 from .rewrite import SYSTEM_S, _leftmost_nf
-from .words import Biword, Word, _at_least, imv, inv
+from .words import Biword, Word, _at_least, descent_mask, imv, inv
 
 DEFAULT_BUDGET = 10**6
 
@@ -66,25 +65,17 @@ def count_irreducible(r: int, n: int) -> int:
     """Brute enumeration count of length-n biwords with no double descent.
 
     Such a biword's top strict descents and bottom weak descents lie at
-    disjoint positions, so each word is grouped by its positions as a bitmask.
+    disjoint positions, so each word is grouped by its descent masks.
     """
     words = list(itertools.product(range(1, r + 1), repeat=n))
-    strict, weak = (
-        Counter(sum(d << i for i, d in enumerate(map(rel, w, w[1:]))) for w in words)
-        for rel in (gt, ge)
-    )
+    strict = Counter(descent_mask(w) for w in words)
+    weak = Counter(descent_mask(w, weak=True) for w in words)
     return sum(t * b for s, t in strict.items() for w, b in weak.items() if not s & w)
 
 
 def reducible_pairs(r: int) -> list[Biword]:
     """The length-2 biwords carrying a double descent, in canonical order."""
-    return [
-        Biword._make((x, y), (a, b))
-        for x in range(1, r + 1)
-        for y in range(1, x)
-        for a in range(1, r + 1)
-        for b in range(1, a + 1)
-    ]
+    return [bw for bw in enumerate_biwords(r, 2) if not bw.is_irreducible()]
 
 
 def _as_q(q_value) -> Fraction:
@@ -168,10 +159,11 @@ def _relation_blocks(words, tops, bottoms, blocks, q: Fraction):
 
     def swaps(w: Word, weak: bool) -> dict[int, int]:
         # Descent position i -> index of w with letters i and i + 1 swapped.
+        mask = descent_mask(w, weak)
         return {
             i: index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]]
             for i in range(len(w) - 1)
-            if w[i] > w[i + 1] or weak and w[i] == w[i + 1]
+            if mask >> i & 1
         }
 
     strict = [swaps(w, False) for w in words]
@@ -290,20 +282,19 @@ def _closed_form(alpha: tuple[int, ...], beta: tuple[int, ...], memo: dict) -> i
     bottom content beta.  e_k(x) h_k(y) counts the biwords of length k
     whose top strictly decreases and whose bottom weakly decreases.
     F = 1 + (1 - D) F gives each coefficient from coefficients of lower
-    degree; memo holds the ones found so far.  A stack stands in for
-    recursion: a coefficient goes back on it below its missing terms.
+    degree; memo holds the ones found so far.  One post-order pass fills
+    it: a coefficient goes back on the stack once, below its lower terms.
     """
-    stack = [(alpha, beta)]
+    stack = [((alpha, beta), None)]
     while stack:
-        cur = stack.pop()
-        if cur in memo:
-            continue
-        missing = [child for _, child in _lower_terms(*cur) if child not in memo]
-        if missing:
-            stack += [cur, *missing]
-        else:
+        cur, terms = stack.pop()
+        if terms is not None:
             unit = not any(cur[0] + cur[1])  # the 1 of F = 1 + (1 - D) F
-            memo[cur] = unit + sum(c * memo[child] for c, child in _lower_terms(*cur))
+            memo[cur] = unit + sum(c * memo[child] for c, child in terms)
+        elif cur not in memo:
+            terms = list(_lower_terms(*cur))
+            stack.append((cur, terms))
+            stack += [(child, None) for _, child in terms if child not in memo]
     return memo[alpha, beta]
 
 

@@ -4,7 +4,8 @@ Output is line oriented: machine-readable lines are key<TAB>value, and
 report files written via --report hold such lines in blank-line
 separated blocks.  Exit status 0 means success and every requested
 check passed, 1 means some verification failed, 2 means a usage or
-parse error.  Setting RIGHTQ_VERBOSE=1 adds progress detail on stderr.
+parse error or a --report path that cannot be written.  Setting
+RIGHTQ_VERBOSE=1 adds progress detail on stderr.
 """
 
 import argparse
@@ -159,8 +160,9 @@ def _cmd_check_confluence(args) -> int:
     return 0 if report.ok else 1
 
 
-def _random_ideal_member(rng: random.Random, r: int, max_len: int) -> Expression:
-    pairs = reducible_pairs(r)
+def _random_ideal_member(
+    rng: random.Random, pairs: list[Biword], r: int, max_len: int
+) -> Expression:
     acc = Expression.zero()
     for _ in range(rng.randint(1, 3)):
         g = pairs[rng.randrange(len(pairs))]
@@ -188,10 +190,11 @@ def _cmd_check_principle(args) -> int:
     _at_least(2, r=args.r)  # one letter has no reducible pair to build on
     _at_least(1, trials=args.trials)
     rng = random.Random(args.seed)
+    pairs = reducible_pairs(args.r)
     failures = 0
     for trial in range(args.trials):
         if trial % 2 == 0:
-            expr = _random_ideal_member(rng, args.r, 5)
+            expr = _random_ideal_member(rng, pairs, args.r, 5)
         else:
             expr = _random_expression(rng, args.r, 4)
         if not check_principle(expr):
@@ -367,7 +370,7 @@ def main(argv=None) -> int:
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a --report path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,8 @@ class Laurent:
         clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
+                if not (isinstance(e, int) and isinstance(c, int)):
+                    raise TypeError(f"term q^{e!r} * {c!r} is not over the ints")
                 if c:
                     clean[e] = c
         self._terms = clean
@@ -87,10 +89,10 @@ class Laurent:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "Laurent | int") -> "Laurent":
-        if isinstance(other, int):
-            other = Laurent.integer(other)
-        return other - self
+    def __rsub__(self, other: int) -> "Laurent":
+        if not isinstance(other, int):
+            return NotImplemented
+        return Laurent.integer(other) - self
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):

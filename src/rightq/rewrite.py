@@ -37,8 +37,8 @@ call's distinct top and bottom words.  Each bucket is sorted by
 words.row_key: the order within a level changes no coefficient, but
 it does change the peak term count, the trace and which biword draws
 each random choice.  reduce_biword() and normal_form() read one memo of
-leftmost normal forms per system, keyed by rows too, filled without
-recursion by level through the same rewrite kernel, and read through one
+leftmost normal forms per system, keyed by rows too, filled in one
+post-order pass through the same rewrite kernel, and read through one
 reader that applies the term cap.  Its values are shared and read-only:
 a lone unit-coefficient child (the plain swap) lends its parent its dict.
 in_ideal() and the confluence fuzz compare row dicts, not Expressions.
@@ -182,7 +182,7 @@ def measure_check_count() -> int:
 
 
 def _descent_mask(top: Word, bottom: Word) -> int:
-    """Bit i set when 0-based columns i and i + 1 form a double descent.
+    """words.descent_mask(top) & descent_mask(bottom, weak=True), fused.
 
     >>> bin(_descent_mask((3, 2, 1), (3, 2, 1)))
     '0b11'
@@ -383,33 +383,34 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
     memo = _NF_CACHES.setdefault(system.tag, {})
     if rows not in memo:
         one = ONE if system.tag == "sq" else 1
-        pending: dict[Rows, tuple[int, list]] = {}
         # Entries as _expand_rows makes them: (rows, mask, coefficient, level).
+        # An expanded entry goes back as (rows, children) below its children;
+        # they lie strictly lower, so all are in memo when it is on top again.
         stack = [(rows, _descent_mask(*rows), one, inv(rows[0]) + imv(rows[1]))]
         while stack:
-            cur, mask, _, level = stack.pop()
-            if cur in memo or cur in pending:
-                continue
-            if not mask:
-                memo[cur] = {cur: one}
-                continue
-            pos0 = (mask & -mask).bit_length() - 1
-            children, _ = _expand_rows(cur, mask, pos0, system, level)
-            pending[cur] = (level, children)
-            stack += children
-        # Children lie strictly lower, so each is final when its parent resolves.
-        for cur, (_, children) in sorted(pending.items(), key=lambda kv: kv[1][0]):
-            first, _, coeff, _ = children[0]
-            if coeff == one:
-                # A unit first child starts the sum; a lone one is shared.
-                result = memo[first] if len(children) == 1 else dict(memo[first])
-                children = children[1:]
-            else:
-                result = {}
-            for child, _, coeff, _ in children:
-                _accumulate(result, memo[child], coeff)
-                _within_cap(result)
-            memo[cur] = result
+            entry = stack.pop()
+            if len(entry) == 2:
+                cur, children = entry
+                first, _, coeff, _ = children[0]
+                if coeff == one:
+                    # A unit first child starts the sum; a lone one is shared.
+                    result = memo[first] if len(children) == 1 else dict(memo[first])
+                    children = children[1:]
+                else:
+                    result = {}
+                for child, _, coeff, _ in children:
+                    _accumulate(result, memo[child], coeff)
+                    _within_cap(result)
+                memo[cur] = result
+            elif entry[0] not in memo:
+                cur, mask, _, level = entry
+                if mask:
+                    pos0 = (mask & -mask).bit_length() - 1
+                    children, _ = _expand_rows(cur, mask, pos0, system, level)
+                    stack.append((cur, children))
+                    stack += children
+                else:
+                    memo[cur] = {cur: one}
     return _within_cap(memo[rows])
 
 

@@ -40,6 +40,17 @@ def imv(word: Sequence[int]) -> int:
     return sum(starmap(ge, combinations(word, 2)))
 
 
+def descent_mask(word: Sequence[int], weak: bool = False) -> int:
+    """Bit i set when word[i] > word[i + 1], or word[i] >= word[i + 1] if weak.
+
+    >>> bin(descent_mask((3, 1, 2, 2)))
+    '0b1'
+    >>> bin(descent_mask((3, 1, 2, 2), weak=True))
+    '0b101'
+    """
+    return sum(d << i for i, d in enumerate(map(ge if weak else gt, word, word[1:])))
+
+
 def cross_inversions(u: Sequence[int], v: Sequence[int]) -> int:
     """Number of pairs (x, y) with x a letter of u, y a letter of v and x > y.
 
@@ -170,22 +181,12 @@ class Biword:
         >>> Biword((1, 2, 3), (3, 2, 1)).double_descents()
         ()
         """
-        top = self.top
-        bottom = self.bottom
-        return tuple(
-            i + 1
-            for i in range(len(top) - 1)
-            if top[i] > top[i + 1] and bottom[i] >= bottom[i + 1]
-        )
+        mask = descent_mask(self.top) & descent_mask(self.bottom, weak=True)
+        return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
     def is_irreducible(self) -> bool:
         """True when the biword has no double descent."""
-        top = self.top
-        bottom = self.bottom
-        for i in range(len(top) - 1):
-            if top[i] > top[i + 1] and bottom[i] >= bottom[i + 1]:
-                return False
-        return True
+        return not descent_mask(self.top) & descent_mask(self.bottom, weak=True)
 
     def is_circuit(self) -> bool:
         """True when the top word is a rearrangement of the bottom word.

@@ -12,6 +12,7 @@ from hypothesis import given
 import rightq.rewrite
 from rightq import basis_oracle
 from rightq import (
+    Biword,
     Expression,
     SYSTEM_S,
     SYSTEM_SQ,
@@ -76,6 +77,14 @@ def test_reducible_pairs():
     assert [str(p) for p in pairs] == ["21/11", "21/21", "21/22"]
     assert len(reducible_pairs(3)) == 18
     assert all(not p.is_irreducible() for p in reducible_pairs(4))
+    for r in range(1, 5):
+        assert reducible_pairs(r) == [
+            Biword((x, y), (a, b))
+            for x in range(1, r + 1)
+            for y in range(1, x)
+            for a in range(1, r + 1)
+            for b in range(1, a + 1)
+        ]
 
 
 def test_relation_matrix_smallest_case():
@@ -377,6 +386,21 @@ def test_closed_form_equals_brute_count_per_block(r, n):
         for beta in compositions(r, n):
             assert _closed_form(alpha, beta, memo) == brute[alpha, beta]
     assert check_basis_dimension(r, n).closed_form_count == sum(brute.values())
+
+
+def test_closed_form_lists_each_coefficients_lower_terms_once(monkeypatch):
+    calls = Counter()
+    lower_terms = basis_oracle._lower_terms
+
+    def counted(top, bottom):
+        calls[top, bottom] += 1
+        return lower_terms(top, bottom)
+
+    monkeypatch.setattr(basis_oracle, "_lower_terms", counted)
+    memo = {}
+    _closed_form((2, 2, 1), (1, 2, 2), memo)
+    assert len(memo) == 70
+    assert calls == Counter(dict.fromkeys(memo, 1))
 
 
 @pytest.mark.parametrize(

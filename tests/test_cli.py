@@ -278,6 +278,18 @@ def test_basis_report(capsys, tmp_path):
     assert list(saved)[-2:] == ["closed-form-count", "match"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["qmm", "--r", "2", "--max-degree", "2"], ["basis", "--r", "2", "--degree", "2"]],
+    ids=["qmm", "basis"],
+)
+def test_unwritable_report_is_a_usage_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--report", str(tmp_path / "missing" / "r.txt"))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_basis_rational_q(capsys):
     code, out, _ = run(capsys, "basis", "--r", "2", "--degree", "2", "--q", "3/5")
     assert code == 0

@@ -94,3 +94,15 @@ def test_str_frozen():
     assert str(Laurent.q_power(-1, 2)) == "2*q^-1"
     assert str(Laurent({-1: 1, 0: 2})) == "q^-1 + 2"
     assert str(Laurent({2: -3, 0: 1})) == "1 - 3*q^2"
+
+
+@pytest.mark.parametrize("other", [Fraction(1), 1.5, "x"])
+def test_subtracting_from_a_foreign_value_is_a_type_error(other):
+    with pytest.raises(TypeError):
+        other - Q
+
+
+@pytest.mark.parametrize("terms", [{1: 2.5}, {0.5: 1}, {0: Fraction(1, 2)}])
+def test_constructor_takes_int_terms_only(terms):
+    with pytest.raises(TypeError):
+        Laurent(terms)

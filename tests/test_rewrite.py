@@ -22,6 +22,7 @@ from rightq import (
     TermCapExceeded,
     check_ambiguity,
     check_confluence_fuzz,
+    enumerate_biwords,
     in_ideal,
     normal_form,
     parse_biword,
@@ -522,6 +523,33 @@ def test_memo_paths_apply_the_term_cap(monkeypatch, warm):
     monkeypatch.undo()
     # An aborted fill leaves only complete normal forms behind.
     assert reduce_biword(target, SYSTEM_S) == reduce(single, SYSTEM_S).normal_form
+
+
+@pytest.mark.parametrize("system", [SYSTEM_S, SYSTEM_SQ], ids=["s", "sq"])
+def test_memo_fill_does_not_depend_on_the_order(monkeypatch, system):
+    biwords = [b for n in range(6) for b in enumerate_biwords(2, n)]
+    expanded = []
+    expand_rows = rightq.rewrite._expand_rows
+
+    def counted(rows, *args):
+        expanded.append(rows)
+        return expand_rows(rows, *args)
+
+    monkeypatch.setattr(rightq.rewrite, "_expand_rows", counted)
+    fills = []
+    for order in (biwords, biwords[::-1]):
+        rightq.rewrite.clear_caches()
+        expanded.clear()
+        before = rightq.rewrite.measure_check_count()
+        for b in order:
+            reduce_biword(b, system)
+        memo = rightq.rewrite._NF_CACHES[system.tag]
+        reducible = [rows for rows in memo if rightq.rewrite._descent_mask(*rows)]
+        assert len(memo) == 1365
+        assert len(expanded) == 822
+        assert sorted(expanded) == sorted(reducible)
+        fills.append((memo, rightq.rewrite.measure_check_count() - before))
+    assert fills[0] == fills[1]
 
 
 def test_rewrite_steps_deterministic_and_bounded():
