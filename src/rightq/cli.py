@@ -9,6 +9,7 @@ RIGHTQ_VERBOSE=1 adds progress detail on stderr.
 """
 
 import argparse
+import contextlib
 import os
 import random
 import re
@@ -207,67 +208,76 @@ def _cmd_check_principle(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _write_report(path: str, blocks: list[list[tuple[str, object]]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for k, block in enumerate(blocks):
-            if k:
-                handle.write("\n")
-            for key, value in block:
-                handle.write(f"{key}\t{_text(value)}\n")
+def _open_report(path: "str | None"):
+    """The --report file, opened before any work so that a path that
+    cannot be written fails first; a null context without --report."""
+    if not path:
+        return contextlib.nullcontext()
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_report(handle, blocks: list[list[tuple[str, object]]]) -> None:
+    for k, block in enumerate(blocks):
+        if k:
+            handle.write("\n")
+        for key, value in block:
+            handle.write(f"{key}\t{_text(value)}\n")
 
 
 def _cmd_qmm(args) -> int:
-    report = qmm_check(args.r, args.max_degree, args.variant, args.term_cap)
-    header = [
-        ("r", report.r),
-        ("max-degree", report.max_degree),
-        ("system", report.system),
-        ("variant", report.variant),
-    ]
-    for key, value in header:
-        _emit(key, value)
-    print("degree\tterms\tsteps\tok")
-    for row in report.per_degree:
-        print(
-            f"{row.degree}\t{row.term_count_before_reduction}"
-            f"\t{row.rewrite_steps}\t{_text(row.ok)}"
-        )
-        _note(f"degree {row.degree}: {row.rewrite_steps} rewrites")
-    _emit("ok", report.ok)
-    if args.report:
-        blocks = [header + [("ok", report.ok)]]
+    with _open_report(args.report) as handle:
+        report = qmm_check(args.r, args.max_degree, args.variant, args.term_cap)
+        header = [
+            ("r", report.r),
+            ("max-degree", report.max_degree),
+            ("system", report.system),
+            ("variant", report.variant),
+        ]
+        for key, value in header:
+            _emit(key, value)
+        print("degree\tterms\tsteps\tok")
         for row in report.per_degree:
-            blocks.append(
-                [
-                    ("degree", row.degree),
-                    ("term-count", row.term_count_before_reduction),
-                    ("rewrite-steps", row.rewrite_steps),
-                    ("ok", row.ok),
-                    ("normal-form", print_expression(row.normal_form)),
-                ]
+            print(
+                f"{row.degree}\t{row.term_count_before_reduction}"
+                f"\t{row.rewrite_steps}\t{_text(row.ok)}"
             )
-        _write_report(args.report, blocks)
+            _note(f"degree {row.degree}: {row.rewrite_steps} rewrites")
+        _emit("ok", report.ok)
+        if handle:
+            blocks = [header + [("ok", report.ok)]]
+            for row in report.per_degree:
+                blocks.append(
+                    [
+                        ("degree", row.degree),
+                        ("term-count", row.term_count_before_reduction),
+                        ("rewrite-steps", row.rewrite_steps),
+                        ("ok", row.ok),
+                        ("normal-form", print_expression(row.normal_form)),
+                    ]
+                )
+            _write_report(handle, blocks)
     return 0 if report.ok else 1
 
 
 def _cmd_basis(args) -> int:
     q_value = args.q if args.q is not None else "one"
-    report = check_basis_dimension(args.r, args.degree, q_value)
-    pairs = [
-        ("r", report.r),
-        ("degree", report.degree),
-        ("q", report.q_value),
-        ("ambient-dim", report.ambient_dim),
-        ("relation-rank", report.relation_rank),
-        ("quotient-dim", report.quotient_dim),
-        ("irreducible-count", report.irreducible_count),
-        ("closed-form-count", report.closed_form_count),
-        ("match", report.match),
-    ]
-    for key, value in pairs:
-        _emit(key, value)
-    if args.report:
-        _write_report(args.report, [pairs])
+    with _open_report(args.report) as handle:
+        report = check_basis_dimension(args.r, args.degree, q_value)
+        pairs = [
+            ("r", report.r),
+            ("degree", report.degree),
+            ("q", report.q_value),
+            ("ambient-dim", report.ambient_dim),
+            ("relation-rank", report.relation_rank),
+            ("quotient-dim", report.quotient_dim),
+            ("irreducible-count", report.irreducible_count),
+            ("closed-form-count", report.closed_form_count),
+            ("match", report.match),
+        ]
+        for key, value in pairs:
+            _emit(key, value)
+        if handle:
+            _write_report(handle, [pairs])
     return 0 if report.match else 1
 
 

@@ -23,6 +23,21 @@ def _accumulate(acc: dict, terms: dict, scale: "Laurent | int" = 1) -> None:
             acc.pop(rows, None)
 
 
+def _add_products(out: dict, left: list, right: list) -> None:
+    """out += every concatenation of a left term with a right term, both
+    given as ((top, bottom), coefficient) pairs, dropping cancelled terms."""
+    for (lt, lb), ca in left:
+        for (rt, rb), cb in right:
+            rows = lt + rt, lb + rb
+            c = ca * cb
+            s = out.get(rows)
+            s = c if s is None else s + c
+            if s:
+                out[rows] = s
+            else:
+                del out[rows]
+
+
 def _graded_rows(left: dict, right: dict, max_degree: int):
     """Components of left * right in degrees 0..max_degree, for terms keyed
     by (top, bottom); each is summed directly over left_k * right_(d-k), so
@@ -39,16 +54,7 @@ def _graded_rows(left: dict, right: dict, max_degree: int):
     for degree in degrees:
         out: dict[Rows, "Laurent | int"] = {}
         for k in range(degree + 1):
-            for (lt, lb), ca in left_k[k]:
-                for (rt, rb), cb in right_k[degree - k]:
-                    rows = lt + rt, lb + rb
-                    c = ca * cb
-                    s = out.get(rows)
-                    s = c if s is None else s + c
-                    if s:
-                        out[rows] = s
-                    else:
-                        del out[rows]
+            _add_products(out, left_k[k], right_k[degree - k])
         yield out
 
 

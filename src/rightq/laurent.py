@@ -32,10 +32,14 @@ class Laurent:
 
     @classmethod
     def integer(cls, n: int) -> "Laurent":
-        return cls._make({0: n} if n else {})
+        return cls.q_power(0, n)
 
     @classmethod
     def q_power(cls, exponent: int, coefficient: int = 1) -> "Laurent":
+        if not (isinstance(exponent, int) and isinstance(coefficient, int)):
+            raise TypeError(
+                f"term q^{exponent!r} * {coefficient!r} is not over the ints"
+            )
         return cls._make({exponent: coefficient} if coefficient else {})
 
     def monomials(self) -> list[tuple[int, int]]:
@@ -53,7 +57,7 @@ class Laurent:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Laurent.integer(other)
+            other = _constant(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         return self._terms == other._terms
@@ -68,7 +72,7 @@ class Laurent:
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
-            other = Laurent.integer(other)
+            other = _constant(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         merged = dict(self._terms)
@@ -84,7 +88,7 @@ class Laurent:
 
     def __sub__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
-            other = Laurent.integer(other)
+            other = _constant(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         return self + (-other)
@@ -92,7 +96,7 @@ class Laurent:
     def __rsub__(self, other: int) -> "Laurent":
         if not isinstance(other, int):
             return NotImplemented
-        return Laurent.integer(other) - self
+        return _constant(other) - self
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
@@ -157,15 +161,20 @@ class Laurent:
         return f"Laurent({self._terms!r})"
 
 
-ZERO = Laurent.integer(0)
-ONE = Laurent.integer(1)
-Q = Laurent.q_power(1)
-Q_INV = Laurent.q_power(-1)
+def _constant(n: int) -> Laurent:
+    # Unchecked Laurent.integer, for callers that already hold an int.
+    return Laurent._make({0: n} if n else {})
+
+
+ZERO = _constant(0)
+ONE = _constant(1)
+Q = Laurent._make({1: 1})
+Q_INV = Laurent._make({-1: 1})
 
 
 def as_laurent(value: "Laurent | int") -> Laurent:
     if isinstance(value, Laurent):
         return value
     if isinstance(value, int):
-        return Laurent.integer(value)
+        return _constant(value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")

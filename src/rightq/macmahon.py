@@ -5,14 +5,17 @@ permutations sigma of J, weighting (sigma(J)/J) by (-1)^|J| (-q)^(-inv sigma);
 it is its own normal form since its bottom rows increase strictly.
 bos() truncates the full sum over words w of q^(inv w) (sorted w / w).
 The master identity says their product is congruent to 1 modulo the
-defining ideal, which the checker verifies degree by degree by reducing
-each homogeneous component to normal form.
+defining ideal, which the checker verifies degree by degree.  Every term
+of both series is a circuit and every rule rearranges letters within a
+row, so each degree splits into independent blocks, one per content m
+(the coefficient of x^m in the identity): the checker builds and reduces
+one block at a time and never forms a whole degree component.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from .expressions import Expression, _graded_rows
+from .expressions import Expression, _add_products
 from .laurent import Laurent
 from .rewrite import (
     DEFAULT_TERM_CAP,
@@ -22,7 +25,7 @@ from .rewrite import (
     TermCapExceeded,
     _reduce_rows,
 )
-from .words import Rows, _at_least, inv
+from .words import Rows, Word, _at_least, inv
 
 _VARIANTS = ("q", "one", "strong")
 
@@ -56,6 +59,28 @@ def _capped(terms, term_cap: int) -> dict[Rows, "Laurent | int"]:
     if len(acc) > term_cap:
         raise TermCapExceeded(f"series exceeded {term_cap} terms")
     return acc
+
+
+def _grouped(terms: dict, row: int) -> dict[Word, list]:
+    """The (rows, coefficient) pairs of terms, grouped by rows[row]."""
+    groups: dict[Word, list] = {}
+    for rows, c in terms.items():
+        groups.setdefault(rows[row], []).append((rows, c))
+    return groups
+
+
+def _content_block(content: Word, ferm_by_subset: dict, bos_by_content: dict) -> dict:
+    """The terms of ferm * bos whose rows have the given sorted content:
+    the sum over subsets J of its letters of ferm_J * bos of content - J."""
+    block: dict[Rows, "Laurent | int"] = {}
+    letters = sorted(set(content))
+    for size in range(len(letters) + 1):
+        for subset in itertools.combinations(letters, size):
+            rest = list(content)
+            for letter in subset:
+                rest.remove(letter)
+            _add_products(block, ferm_by_subset[subset], bos_by_content[tuple(rest)])
+    return block
 
 
 def ferm(r: int, variant: str = "q") -> Expression:
@@ -107,24 +132,36 @@ def qmm_check(
     system; "one" and "strong" reduce the q = 1 product under the plain
     system (the strong form asserts the product's normal form is exactly
     the unit, which is the same degreewise condition).  Degree 0 must
-    reduce to the unit and every higher degree to zero.  The series and
-    each degree component stay (top, bottom)-keyed dicts, with int
-    coefficients under the plain variants, from construction through
-    the reduction.  Only terms of at most max_degree letters can reach a
-    component, so ferm is built on such subsets only, and each series is
-    refused as soon as it exceeds term_cap.
+    reduce to the unit and every higher degree to zero.  Each degree D
+    is built and reduced one content block at a time: for each sorted
+    content m with |m| = D, the sum over subsets J of m's letters of the
+    ferm terms on J times the bos terms of content m - J.  A rewrite
+    keeps the content, so the blocks reduce independently; a degree's
+    terms and steps are the sums over its blocks, and its normal form
+    is their union.  The series and each block stay (top, bottom)-keyed
+    dicts, with int coefficients under the plain variants, from
+    construction through the reduction.  Only terms of at most
+    max_degree letters can reach a block, so ferm is built on such
+    subsets only.  Each series is refused as soon as it exceeds
+    term_cap, and term_cap bounds each block's reduction.
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree, term_cap=term_cap)
     weighted = _series_weighted(variant)
     system = SYSTEM_SQ if weighted else SYSTEM_S
-    f = _capped(_ferm_terms(r, max_degree, weighted), term_cap)
-    b = _capped(_bos_terms(r, max_degree, weighted), term_cap)
+    f = _grouped(_capped(_ferm_terms(r, max_degree, weighted), term_cap), 1)
+    b = _grouped(_capped(_bos_terms(r, max_degree, weighted), term_cap), 0)
     rows: list[DegreeResult] = []
-    for degree, component in enumerate(_graded_rows(f, b, max_degree)):
-        terms = len(component)
-        steps, _, _ = _reduce_rows(component, system, LEFTMOST, False, term_cap)
-        normal_form = Expression._make(component)
+    for degree in range(max_degree + 1):
+        terms = steps = 0
+        reduced: dict[Rows, "Laurent | int"] = {}
+        for content in itertools.combinations_with_replacement(range(1, r + 1), degree):
+            block = _content_block(content, f, b)
+            terms += len(block)
+            block_steps, _, _ = _reduce_rows(block, system, LEFTMOST, False, term_cap)
+            steps += block_steps
+            reduced.update(block)
+        normal_form = Expression._make(reduced)
         target = Expression.unit() if degree == 0 else Expression.zero()
         rows.append(
             DegreeResult(

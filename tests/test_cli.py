@@ -2,6 +2,8 @@
 
 import pytest
 
+import rightq.cli
+import rightq.rewrite
 from rightq import parse_expression
 from rightq.cli import main
 
@@ -288,6 +290,29 @@ def test_unwritable_report_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["qmm", "--r", "2", "--max-degree", "2"], "qmm_check"),
+        (["basis", "--r", "2", "--degree", "2"], "check_basis_dimension"),
+    ],
+    ids=["qmm", "basis"],
+)
+def test_unwritable_report_is_refused_before_the_check(
+    capsys, monkeypatch, tmp_path, argv, check
+):
+    def no_check(*args):
+        raise AssertionError(f"{check} ran")
+
+    monkeypatch.setattr(rightq.cli, check, no_check)
+    before = rightq.rewrite.measure_check_count()
+    code, out, err = run(capsys, *argv, "--report", str(tmp_path / "missing" / "r.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert rightq.rewrite.measure_check_count() == before
 
 
 def test_basis_rational_q(capsys):

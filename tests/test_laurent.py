@@ -106,3 +106,18 @@ def test_subtracting_from_a_foreign_value_is_a_type_error(other):
 def test_constructor_takes_int_terms_only(terms):
     with pytest.raises(TypeError):
         Laurent(terms)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Laurent.q_power(1, 2.5),
+        lambda: Laurent.q_power(0.5),
+        lambda: Laurent.integer(1.5),
+        lambda: Laurent.integer(Fraction(1, 2)),
+    ],
+    ids=["q_power-coefficient", "q_power-exponent", "integer", "integer-fraction"],
+)
+def test_public_builders_take_ints_only(build):
+    with pytest.raises(TypeError, match="is not over the ints"):
+        build()

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import rightq.rewrite
+from rightq import macmahon
 from rightq import (
     EMPTY_BIWORD,
     Expression,
@@ -178,3 +179,52 @@ def test_qmm_peak_terms_are_pinned(r, max_degree, variant, peaks):
     f, b = ferm(r, variant), bos(r, max_degree, variant)
     components = f.graded_product(b, max_degree)
     assert [reduce(c, system).max_intermediate_terms for c in components] == peaks
+
+
+# Each degree is reduced one content block at a time; the sums over the
+# blocks must match a reduction of the whole degree component.
+@pytest.mark.parametrize(
+    "r, max_degree, variant",
+    [(r, 6, v) for r in (1, 2, 3) for v in ("strong", "q")]
+    + [(4, 5, "strong"), (1, 4, "strong"), (2, 0, "strong"), (2, 0, "q")],
+)
+def test_content_blocks_match_whole_degree_reduction(r, max_degree, variant):
+    series, system = ("q", SYSTEM_SQ) if variant == "q" else ("one", SYSTEM_S)
+    f, b = ferm(r, series), bos(r, max_degree, series)
+    report = qmm_check(r, max_degree, variant)
+    components = list(f.graded_product(b, max_degree))
+    assert len(components) == len(report.per_degree)
+    for row, component in zip(report.per_degree, components):
+        whole = reduce(component, system)
+        assert row.normal_form == whole.normal_form
+        assert row.rewrite_steps == whole.rewrite_steps
+        assert row.term_count_before_reduction == len(component)
+
+
+def test_each_reduction_holds_one_content_block(monkeypatch):
+    original = macmahon._reduce_rows
+    peaks = []
+
+    def one_block(work, *args):
+        contents = {tuple(sorted(top)) for top, _ in work}
+        contents |= {tuple(sorted(bottom)) for _, bottom in work}
+        assert len(contents) <= 1
+        steps, peak, trace = original(work, *args)
+        peaks.append(peak)
+        return steps, peak, trace
+
+    monkeypatch.setattr(macmahon, "_reduce_rows", one_block)
+    assert qmm_check(4, 5, "strong").ok
+    # 126 contents of size at most 5 over 4 letters; the whole degree 5
+    # component peaks at 2,664 terms (test_qmm_peak_terms_are_pinned).
+    assert len(peaks) == 126
+    assert max(peaks) == 252
+
+
+def test_term_cap_bounds_each_block(monkeypatch):
+    # Both series are larger than any block, so lift the series cap to
+    # reach the reduction; the largest block of r=4, D=5 peaks at 252.
+    monkeypatch.setattr(macmahon, "_capped", lambda terms, term_cap: dict(terms))
+    assert qmm_check(4, 5, "strong", term_cap=252).ok
+    with pytest.raises(TermCapExceeded, match="intermediate expression exceeded 251"):
+        qmm_check(4, 5, "strong", term_cap=251)
