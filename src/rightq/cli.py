@@ -13,7 +13,9 @@ import contextlib
 import os
 import random
 import re
+import stat
 import sys
+import tempfile
 from fractions import Fraction
 
 from .basis_oracle import _as_q, check_basis_dimension, reducible_pairs
@@ -208,12 +210,39 @@ def _cmd_check_principle(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _open_report(path: "str | None"):
-    """The --report file, opened before any work so that a path that
-    cannot be written fails first; a null context without --report."""
+def _new_file_mode(path: str) -> int:
+    """The permission bits that open(path, "w") leaves path with."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+@contextlib.contextmanager
+def _report(path: "str | None"):
+    """A save(blocks) for the --report path, or one that does nothing.
+
+    A temporary file beside path is made on entry, so a path that cannot
+    be written fails before any work.  It replaces path when the block
+    completes and is removed if the block raises, so a check that stops
+    leaves no file behind and any earlier report as it was.
+    """
     if not path:
-        return contextlib.nullcontext()
-    return open(path, "w", encoding="utf-8")
+        yield lambda blocks: None
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            yield lambda blocks: _write_report(handle, blocks)
+        os.chmod(tmp, _new_file_mode(path))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_report(handle, blocks: list[list[tuple[str, object]]]) -> None:
@@ -225,7 +254,7 @@ def _write_report(handle, blocks: list[list[tuple[str, object]]]) -> None:
 
 
 def _cmd_qmm(args) -> int:
-    with _open_report(args.report) as handle:
+    with _report(args.report) as save:
         report = qmm_check(args.r, args.max_degree, args.variant, args.term_cap)
         header = [
             ("r", report.r),
@@ -243,25 +272,24 @@ def _cmd_qmm(args) -> int:
             )
             _note(f"degree {row.degree}: {row.rewrite_steps} rewrites")
         _emit("ok", report.ok)
-        if handle:
-            blocks = [header + [("ok", report.ok)]]
-            for row in report.per_degree:
-                blocks.append(
-                    [
-                        ("degree", row.degree),
-                        ("term-count", row.term_count_before_reduction),
-                        ("rewrite-steps", row.rewrite_steps),
-                        ("ok", row.ok),
-                        ("normal-form", print_expression(row.normal_form)),
-                    ]
-                )
-            _write_report(handle, blocks)
+        blocks = [header + [("ok", report.ok)]]
+        for row in report.per_degree:
+            blocks.append(
+                [
+                    ("degree", row.degree),
+                    ("term-count", row.term_count_before_reduction),
+                    ("rewrite-steps", row.rewrite_steps),
+                    ("ok", row.ok),
+                    ("normal-form", print_expression(row.normal_form)),
+                ]
+            )
+        save(blocks)
     return 0 if report.ok else 1
 
 
 def _cmd_basis(args) -> int:
     q_value = args.q if args.q is not None else "one"
-    with _open_report(args.report) as handle:
+    with _report(args.report) as save:
         report = check_basis_dimension(args.r, args.degree, q_value)
         pairs = [
             ("r", report.r),
@@ -276,8 +304,7 @@ def _cmd_basis(args) -> int:
         ]
         for key, value in pairs:
             _emit(key, value)
-        if handle:
-            _write_report(handle, [pairs])
+        save([pairs])
     return 0 if report.match else 1
 
 

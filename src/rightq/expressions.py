@@ -9,7 +9,7 @@ cutoff.
 """
 
 from .laurent import Laurent, ONE, as_laurent
-from .words import Biword, Rows, row_key
+from .words import Biword, Rows, _descent_mask, row_key
 
 
 def _accumulate(acc: dict, terms: dict, scale: "Laurent | int" = 1) -> None:
@@ -177,11 +177,11 @@ class Expression:
 
     def is_irreducible(self) -> bool:
         """True when every support biword has no double descent."""
-        return all(bw.is_irreducible() for bw in self.support())
+        return not any(_descent_mask(*rows) for rows in self._terms)
 
     def is_circular(self) -> bool:
         """True when every support biword is a circuit."""
-        return all(bw.is_circuit() for bw in self.support())
+        return all(sorted(t) == sorted(b) for t, b in self._terms)
 
     def map_coefficients(self, fn) -> "Expression":
         """Apply fn to every coefficient, dropping terms that become zero."""

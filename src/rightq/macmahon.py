@@ -53,19 +53,16 @@ def _bos_terms(r: int, max_len: int, weighted: bool):
             yield (tuple(sorted(w)), w), Laurent.q_power(inv(w)) if weighted else 1
 
 
-def _capped(terms, term_cap: int) -> dict[Rows, "Laurent | int"]:
-    """The terms as a dict, refused as soon as there are more than term_cap."""
-    acc = dict(itertools.islice(terms, term_cap + 1))
-    if len(acc) > term_cap:
-        raise TermCapExceeded(f"series exceeded {term_cap} terms")
-    return acc
+def _bos_size(r: int, max_len: int) -> int:
+    """One bos term per word: the sum of r^n over n <= max_len."""
+    return max_len + 1 if r == 1 else (r ** (max_len + 1) - 1) // (r - 1)
 
 
-def _grouped(terms: dict, row: int) -> dict[Word, list]:
+def _grouped(terms, row: int) -> dict[Word, list]:
     """The (rows, coefficient) pairs of terms, grouped by rows[row]."""
     groups: dict[Word, list] = {}
-    for rows, c in terms.items():
-        groups.setdefault(rows[row], []).append((rows, c))
+    for term in terms:
+        groups.setdefault(term[0][row], []).append(term)
     return groups
 
 
@@ -142,15 +139,17 @@ def qmm_check(
     dicts, with int coefficients under the plain variants, from
     construction through the reduction.  Only terms of at most
     max_degree letters can reach a block, so ferm is built on such
-    subsets only.  Each series is refused as soon as it exceeds
-    term_cap, and term_cap bounds each block's reduction.
+    subsets only.  bos has sum r^n terms, ferm at most sum r!/(r-k)!;
+    if it exceeds term_cap, nothing is built.  term_cap bounds each block.
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree, term_cap=term_cap)
     weighted = _series_weighted(variant)
     system = SYSTEM_SQ if weighted else SYSTEM_S
-    f = _grouped(_capped(_ferm_terms(r, max_degree, weighted), term_cap), 1)
-    b = _grouped(_capped(_bos_terms(r, max_degree, weighted), term_cap), 0)
+    if _bos_size(r, max_degree) > term_cap:
+        raise TermCapExceeded(f"series exceeded {term_cap} terms")
+    f = _grouped(_ferm_terms(r, max_degree, weighted), 1)
+    b = _grouped(_bos_terms(r, max_degree, weighted), 0)
     rows: list[DegreeResult] = []
     for degree in range(max_degree + 1):
         terms = steps = 0

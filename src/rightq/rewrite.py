@@ -50,7 +50,16 @@ from typing import NamedTuple
 
 from .expressions import Expression, _accumulate
 from .laurent import Laurent, ONE, Q, Q_INV
-from .words import Biword, Rows, Word, _at_least, format_word_pair, imv, inv, row_key
+from .words import (
+    Biword,
+    Rows,
+    _at_least,
+    _descent_mask,
+    format_word_pair,
+    imv,
+    inv,
+    row_key,
+)
 
 DEFAULT_TERM_CAP = 10_000_000
 
@@ -179,21 +188,6 @@ _measure_checks = 0
 def measure_check_count() -> int:
     """How many rewrites have had their measure drop verified so far."""
     return _measure_checks
-
-
-def _descent_mask(top: Word, bottom: Word) -> int:
-    """words.descent_mask(top) & descent_mask(bottom, weak=True), fused.
-
-    >>> bin(_descent_mask((3, 2, 1), (3, 2, 1)))
-    '0b11'
-    >>> _descent_mask((1, 2, 3), (3, 2, 1))
-    0
-    """
-    mask = 0
-    for i in range(len(top) - 1):
-        if top[i] > top[i + 1] and bottom[i] >= bottom[i + 1]:
-            mask |= 1 << i
-    return mask
 
 
 def _expand_rows(

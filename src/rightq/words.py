@@ -51,6 +51,22 @@ def descent_mask(word: Sequence[int], weak: bool = False) -> int:
     return sum(d << i for i, d in enumerate(map(ge if weak else gt, word, word[1:])))
 
 
+def _descent_mask(top: Word, bottom: Word) -> int:
+    """descent_mask(top) & descent_mask(bottom, weak=True), fused: bit i
+    set at each double descent, top[i] > top[i+1] and bottom[i] >= bottom[i+1].
+
+    >>> bin(_descent_mask((3, 2, 1), (3, 2, 1)))
+    '0b11'
+    >>> _descent_mask((1, 2, 3), (3, 2, 1))
+    0
+    """
+    mask = 0
+    for i in range(len(top) - 1):
+        if top[i] > top[i + 1] and bottom[i] >= bottom[i + 1]:
+            mask |= 1 << i
+    return mask
+
+
 def cross_inversions(u: Sequence[int], v: Sequence[int]) -> int:
     """Number of pairs (x, y) with x a letter of u, y a letter of v and x > y.
 
@@ -181,12 +197,12 @@ class Biword:
         >>> Biword((1, 2, 3), (3, 2, 1)).double_descents()
         ()
         """
-        mask = descent_mask(self.top) & descent_mask(self.bottom, weak=True)
+        mask = _descent_mask(self.top, self.bottom)
         return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
     def is_irreducible(self) -> bool:
         """True when the biword has no double descent."""
-        return not descent_mask(self.top) & descent_mask(self.bottom, weak=True)
+        return not _descent_mask(self.top, self.bottom)
 
     def is_circuit(self) -> bool:
         """True when the top word is a rearrangement of the bottom word.

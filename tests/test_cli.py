@@ -1,5 +1,8 @@
 """The command line interface: formats and exit codes."""
 
+import os
+import stat
+
 import pytest
 
 import rightq.cli
@@ -224,6 +227,21 @@ def test_check_principle(capsys):
     assert table["failures"] == "0"
 
 
+def test_verbose_notes_go_to_stderr_only(capsys, monkeypatch):
+    argv = ["check", "principle", "--r", "2", "--trials", "100", "--seed", "1"]
+    monkeypatch.delenv("RIGHTQ_VERBOSE", raising=False)
+    code, quiet_out, quiet_err = run(capsys, *argv)
+    assert code == 0
+    assert quiet_err == ""
+    monkeypatch.setenv("RIGHTQ_VERBOSE", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == quiet_out
+    assert err == "principle: 50/100 trials\nprinciple: 100/100 trials\n"
+    monkeypatch.setenv("RIGHTQ_VERBOSE", "0")
+    assert run(capsys, *argv) == (0, quiet_out, "")
+
+
 def test_qmm_table_and_report(capsys, tmp_path):
     path = tmp_path / "qmm.tsv"
     code, out, _ = run(
@@ -313,6 +331,63 @@ def test_unwritable_report_is_refused_before_the_check(
     assert out == ""
     assert err.startswith("error: ")
     assert rightq.rewrite.measure_check_count() == before
+
+
+def test_report_of_a_stopped_check_leaves_no_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "qmm", "--r", "3", "--max-degree", "10", "--term-cap", "1000",
+        "--report", "rep.txt",
+    )
+    assert code == 1
+    assert "series exceeded 1000 terms" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_of_a_stopped_check_keeps_the_earlier_report(capsys, tmp_path):
+    path = tmp_path / "rep.txt"
+    path.write_bytes(b"earlier\treport\n")
+    code, _, _ = run(
+        capsys, "qmm", "--r", "3", "--max-degree", "10", "--term-cap", "1000",
+        "--report", str(path),
+    )
+    assert code == 1
+    assert path.read_bytes() == b"earlier\treport\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_report_gets_the_permissions_of_a_plain_open(capsys, tmp_path):
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    kept.write_text("earlier\n")
+    kept.chmod(0o604)
+    old_umask = os.umask(0o027)
+    try:
+        for path in (fresh, kept):
+            argv = ["basis", "--r", "2", "--degree", "2", "--report", str(path)]
+            assert run(capsys, *argv)[0] == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert "match\ttrue" in kept.read_text()
+    assert sorted(tmp_path.iterdir()) == [fresh, kept]
+
+
+def test_report_path_that_is_a_directory_is_refused_before_the_check(
+    capsys, monkeypatch, tmp_path
+):
+    def no_check(*args):
+        raise AssertionError("qmm_check ran")
+
+    monkeypatch.setattr(rightq.cli, "qmm_check", no_check)
+    code, out, err = run(
+        capsys, "qmm", "--r", "2", "--max-degree", "2", "--report", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_basis_rational_q(capsys):

@@ -1,6 +1,7 @@
 """The truncated series and the degreewise master-identity check."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -119,6 +120,32 @@ def test_series_over_the_term_cap_are_refused_before_any_reduction():
     assert rightq.rewrite.measure_check_count() == before
 
 
+def test_series_over_the_term_cap_are_refused_unbuilt():
+    # bos(30, 5) has 25,137,931 terms and ferm on at most 5 of 30 letters
+    # 17,783,701; building the first 200,001 of them takes tens of MB.
+    before = rightq.rewrite.measure_check_count()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermCapExceeded, match="series exceeded 200000 terms"):
+            qmm_check(30, 5, "strong", term_cap=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert rightq.rewrite.measure_check_count() == before
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_degree", range(6))
+def test_series_cap_is_the_size_of_bos(r, max_degree):
+    # ferm on at most D letters never has more terms than bos, so the
+    # series are refused exactly when bos is over the cap.
+    size = len(bos(r, max_degree, "one"))
+    with pytest.raises(TermCapExceeded, match=f"series exceeded {size - 1} terms"):
+        qmm_check(r, max_degree, "strong", size - 1)
+    assert qmm_check(r, max_degree, "strong", size).ok
+
+
 @pytest.mark.parametrize("variant", ["strong", "q"])
 def test_large_alphabet_builds_only_the_subsets_a_degree_reaches(variant):
     # ferm(30) has about 7e32 terms; those on at most two letters number 901.
@@ -224,7 +251,7 @@ def test_each_reduction_holds_one_content_block(monkeypatch):
 def test_term_cap_bounds_each_block(monkeypatch):
     # Both series are larger than any block, so lift the series cap to
     # reach the reduction; the largest block of r=4, D=5 peaks at 252.
-    monkeypatch.setattr(macmahon, "_capped", lambda terms, term_cap: dict(terms))
+    monkeypatch.setattr(macmahon, "_bos_size", lambda r, max_len: 0)
     assert qmm_check(4, 5, "strong", term_cap=252).ok
     with pytest.raises(TermCapExceeded, match="intermediate expression exceeded 251"):
         qmm_check(4, 5, "strong", term_cap=251)
