@@ -9,10 +9,13 @@ defining ideal, which the checker verifies degree by degree.  Every term
 of both series is a circuit and every rule rearranges letters within a
 row, so each degree splits into independent blocks, one per content m
 (the coefficient of x^m in the identity): the checker builds and reduces
-one block at a time and never forms a whole degree component.
+one block at a time and never forms a whole degree component.  Nor does
+it build bos whole: the bos terms of one content are its distinct
+rearrangements, generated when a block first asks for them.
 """
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .expressions import Expression, _add_products
@@ -47,28 +50,42 @@ def _ferm_terms(r: int, max_len: int, weighted: bool):
                 yield (perm, subset), Laurent.q_power(-k, c) if weighted else c
 
 
-def _bos_terms(r: int, max_len: int, weighted: bool):
-    for n in range(max_len + 1):
-        for w in itertools.product(range(1, r + 1), repeat=n):
-            yield (tuple(sorted(w)), w), Laurent.q_power(inv(w)) if weighted else 1
-
-
 def _bos_size(r: int, max_len: int) -> int:
     """One bos term per word: the sum of r^n over n <= max_len."""
     return max_len + 1 if r == 1 else (r ** (max_len + 1) - 1) // (r - 1)
 
 
-def _grouped(terms, row: int) -> dict[Word, list]:
-    """The (rows, coefficient) pairs of terms, grouped by rows[row]."""
-    groups: dict[Word, list] = {}
-    for term in terms:
-        groups.setdefault(term[0][row], []).append(term)
-    return groups
+def _bos_content(content: Word, weighted: bool) -> list:
+    """The bos terms (content / w) of one sorted content, one per distinct
+    rearrangement w in lexicographic order, with q^(inv w) or 1.
+
+    Depth first over prefixes: a prefix's next letter stands above every
+    smaller letter still to come, which carries inv forward, and a prefix
+    with one letter left completes to one word, built whole.
+    """
+    terms = []
+    counts = tuple((letter, content.count(letter)) for letter in dict.fromkeys(content))
+    stack = [((), counts, 0)]
+    while stack:
+        prefix, left, k = stack.pop()
+        if len(left) <= 1:
+            w = prefix + (left[0][0],) * left[0][1] if left else prefix
+            terms.append(((content, w), Laurent.q_power(k) if weighted else 1))
+            continue
+        children = []
+        for i, (letter, count) in enumerate(left):
+            rest = left[:i] + ((letter, count - 1),) * (count > 1) + left[i + 1 :]
+            children.append((prefix + (letter,), rest, k))
+            k += count
+        stack += reversed(children)
+    return terms
 
 
-def _content_block(content: Word, ferm_by_subset: dict, bos_by_content: dict) -> dict:
+def _content_block(
+    content: Word, ferm_by_subset: dict, bos_of: Callable[[Word], list]
+) -> dict:
     """The terms of ferm * bos whose rows have the given sorted content:
-    the sum over subsets J of its letters of ferm_J * bos of content - J."""
+    the sum over subsets J of its letters of ferm_J * bos_of(content - J)."""
     block: dict[Rows, "Laurent | int"] = {}
     letters = sorted(set(content))
     for size in range(len(letters) + 1):
@@ -76,7 +93,7 @@ def _content_block(content: Word, ferm_by_subset: dict, bos_by_content: dict) ->
             rest = list(content)
             for letter in subset:
                 rest.remove(letter)
-            _add_products(block, ferm_by_subset[subset], bos_by_content[tuple(rest)])
+            _add_products(block, ferm_by_subset[subset], bos_of(tuple(rest)))
     return block
 
 
@@ -91,8 +108,17 @@ def ferm(r: int, variant: str = "q") -> Expression:
 
 
 def bos(r: int, max_len: int, variant: str = "q") -> Expression:
-    """Sum of q^(inv w) (sorted w / w) over words of length at most max_len."""
-    return Expression._make(dict(_bos_terms(r, max_len, _series_weighted(variant))))
+    """Sum of q^(inv w) (sorted w / w) over words of length at most max_len.
+
+    Built one sorted content at a time, contents by length, from the same
+    terms that qmm_check builds for each of its content blocks.
+    """
+    weighted = _series_weighted(variant)
+    terms: dict[Rows, "Laurent | int"] = {}
+    for n in range(max_len + 1):
+        for content in itertools.combinations_with_replacement(range(1, r + 1), n):
+            terms.update(_bos_content(content, weighted))
+    return Expression._make(terms)
 
 
 @dataclass
@@ -135,12 +161,17 @@ def qmm_check(
     ferm terms on J times the bos terms of content m - J.  A rewrite
     keeps the content, so the blocks reduce independently; a degree's
     terms and steps are the sums over its blocks, and its normal form
-    is their union.  The series and each block stay (top, bottom)-keyed
-    dicts, with int coefficients under the plain variants, from
+    is their union.  Series terms and blocks stay keyed by (top, bottom)
+    rows, with int coefficients under the plain variants, from
     construction through the reduction.  Only terms of at most
     max_degree letters can reach a block, so ferm is built on such
-    subsets only.  bos has sum r^n terms, ferm at most sum r!/(r-k)!;
-    if it exceeds term_cap, nothing is built.  term_cap bounds each block.
+    subsets only, grouped by subset.  bos is never built whole: the bos
+    terms of a content are built when a block first asks for them and
+    kept only while a later degree may ask again, so contents of at most
+    r + 1 lengths are held.  Whole, bos would have sum r^n terms, no fewer
+    than ferm on at most max_degree letters, and that size alone decides
+    the refusal: if it exceeds term_cap, nothing is built.  term_cap
+    bounds each block.
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree, term_cap=term_cap)
@@ -148,18 +179,34 @@ def qmm_check(
     system = SYSTEM_SQ if weighted else SYSTEM_S
     if _bos_size(r, max_degree) > term_cap:
         raise TermCapExceeded(f"series exceeded {term_cap} terms")
-    f = _grouped(_ferm_terms(r, max_degree, weighted), 1)
-    b = _grouped(_bos_terms(r, max_degree, weighted), 0)
+    ferm_by_subset: dict[Word, list] = {}
+    for term in _ferm_terms(r, max_degree, weighted):
+        ferm_by_subset.setdefault(term[0][1], []).append(term)
+    # A bos content is built when a block first asks for it and kept while
+    # a later degree may ask again: content m serves degrees |m| to |m| + r,
+    # and one of the top length serves one block only.
+    kept: dict[Word, list] = {}
+
+    def bos_of(rest: Word) -> list:
+        terms = kept.get(rest)
+        if terms is None:
+            terms = _bos_content(rest, weighted)
+            if len(rest) < max_degree:
+                kept[rest] = terms
+        return terms
+
     rows: list[DegreeResult] = []
     for degree in range(max_degree + 1):
         terms = steps = 0
         reduced: dict[Rows, "Laurent | int"] = {}
         for content in itertools.combinations_with_replacement(range(1, r + 1), degree):
-            block = _content_block(content, f, b)
+            block = _content_block(content, ferm_by_subset, bos_of)
             terms += len(block)
             block_steps, _, _ = _reduce_rows(block, system, LEFTMOST, False, term_cap)
             steps += block_steps
             reduced.update(block)
+        for done in [m for m in kept if len(m) + r <= degree]:
+            del kept[done]
         normal_form = Expression._make(reduced)
         target = Expression.unit() if degree == 0 else Expression.zero()
         rows.append(

@@ -1,6 +1,8 @@
 """The truncated series and the degreewise master-identity check."""
 
+import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -10,11 +12,13 @@ from rightq import macmahon
 from rightq import (
     EMPTY_BIWORD,
     Expression,
+    Laurent,
     SYSTEM_S,
     SYSTEM_SQ,
     TermCapExceeded,
     bos,
     ferm,
+    inv,
     parse_expression,
     phi,
     qmm_check,
@@ -65,6 +69,98 @@ def test_bos_term_count_and_shape():
             assert b.is_circular()
             for biword, _ in b.terms():
                 assert sorted(biword.top) == list(biword.top)
+
+
+def _multinomial(content):
+    counts = [content.count(letter) for letter in set(content)]
+    return math.factorial(len(content)) // math.prod(map(math.factorial, counts))
+
+
+# bos is built one content at a time; every word of length n appears
+# under its own content, so the contents of length <= D together are
+# bos(r, D), which must match every word of itertools.product.
+@pytest.mark.parametrize("variant", ["q", "one"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_bos_contents_together_are_bos(r, variant):
+    weighted = variant == "q"
+    for max_len in range(7):
+        union, reference = {}, {}
+        for n in range(max_len + 1):
+            for content in itertools.combinations_with_replacement(range(1, r + 1), n):
+                terms = macmahon._bos_content(content, weighted)
+                words = [bottom for (top, bottom), _ in terms]
+                assert all(top == content for (top, _), _ in terms)
+                assert all(tuple(sorted(w)) == content for w in words)
+                assert len(set(words)) == len(words) == _multinomial(content)
+                assert words == sorted(words)
+                union.update(terms)
+            for w in itertools.product(range(1, r + 1), repeat=n):
+                c = Laurent.q_power(inv(w)) if weighted else 1
+                reference[tuple(sorted(w)), w] = c
+        assert Expression._make(union) == bos(r, max_len, variant)
+        assert Expression._make(reference) == bos(r, max_len, variant)
+
+
+def test_bos_content_of_no_letter_or_one_letter():
+    assert macmahon._bos_content((), False) == [(((), ()), 1)]
+    assert macmahon._bos_content((), True) == [(((), ()), Laurent.q_power(0))]
+    for content in [(1,), (3,), (2, 2, 2, 2), (4,) * 1000]:
+        assert macmahon._bos_content(content, False) == [((content, content), 1)]
+        assert macmahon._bos_content(content, True) == [
+            ((content, content), Laurent.q_power(0))
+        ]
+
+
+def _lines_run(call):
+    """The Python lines that call() executes, counted with sys.settrace."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def test_one_letter_content_takes_no_step_per_letter():
+    # a one-letter content has one word, built whole, not letter by letter
+    short = _lines_run(lambda: macmahon._bos_content((2,) * 10, True))
+    assert _lines_run(lambda: macmahon._bos_content((2,) * 100_000, True)) == short
+
+
+def test_each_bos_content_is_built_once(monkeypatch):
+    original = macmahon._bos_content
+    built = []
+
+    def counted(content, weighted):
+        built.append(content)
+        return original(content, weighted)
+
+    monkeypatch.setattr(macmahon, "_bos_content", counted)
+    assert qmm_check(3, 5, "strong").ok
+    assert sorted(built) == sorted(
+        content
+        for n in range(6)
+        for content in itertools.combinations_with_replacement(range(1, 4), n)
+    )
+
+
+def test_qmm_memory_does_not_hold_bos():
+    # bos(1, 1000) has 1,001 terms and about a million letters in each
+    # row; no block holds more than two terms of at most 1,000 letters.
+    tracemalloc.start()
+    try:
+        assert qmm_check(1, 1000, "strong").ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_variant_validation():
