@@ -224,16 +224,19 @@ def _new_file_mode(path: str) -> int:
 def _report(path: "str | None"):
     """A save(blocks) for the --report path, or one that does nothing.
 
-    A temporary file beside path is made on entry, so a path that cannot
-    be written fails before any work.  It replaces path when the block
-    completes and is removed if the block raises, so a check that stops
-    leaves no file behind and any earlier report as it was.
+    A temporary file beside path (beside its target, if path is a symlink)
+    is made on entry, so a path that cannot be written fails before any
+    work.  It replaces that file when the block completes, so a symlink
+    stays a link as under open(path, "w"), and is removed if the block
+    raises, so a check that stops leaves no file behind and any earlier
+    report as it was.
     """
     if not path:
         yield lambda blocks: None
         return
     if os.path.isdir(path):
         raise IsADirectoryError(f"{path} is a directory")
+    path = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

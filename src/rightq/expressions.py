@@ -38,26 +38,6 @@ def _add_products(out: dict, left: list, right: list) -> None:
                 del out[rows]
 
 
-def _graded_rows(left: dict, right: dict, max_degree: int):
-    """Components of left * right in degrees 0..max_degree, for terms keyed
-    by (top, bottom); each is summed directly over left_k * right_(d-k), so
-    no longer pair is visited."""
-    degrees = range(max_degree + 1)
-    parts = []
-    for terms in (left, right):
-        by_length: list[list] = [[] for _ in degrees]
-        for rows, c in terms.items():
-            if len(rows[0]) <= max_degree:
-                by_length[len(rows[0])].append((rows, c))
-        parts.append(by_length)
-    left_k, right_k = parts
-    for degree in degrees:
-        out: dict[Rows, "Laurent | int"] = {}
-        for k in range(degree + 1):
-            _add_products(out, left_k[k], right_k[degree - k])
-        yield out
-
-
 class Expression:
     """Canonical dict of {(top, bottom) rows: nonzero Laurent coefficient}."""
 
@@ -152,19 +132,24 @@ class Expression:
         return NotImplemented
 
     def product(self, other: "Expression", max_degree: int | None = None) -> "Expression":
-        """Concatenation product, dropping terms longer than max_degree."""
+        """Concatenation product, dropping terms longer than max_degree.
+
+        Each degree d is summed over self_k * other_(d-k), so no pair longer
+        than max_degree is visited."""
         if max_degree is None:
             max_degree = self.max_length() + other.max_length()
+        degrees = range(max_degree + 1)
+        left: list[list] = [[] for _ in degrees]
+        right: list[list] = [[] for _ in degrees]
+        for by_length, terms in ((left, self._terms), (right, other._terms)):
+            for rows, c in terms.items():
+                if len(rows[0]) <= max_degree:
+                    by_length[len(rows[0])].append((rows, c))
         out: dict[Rows, Laurent] = {}
-        for component in _graded_rows(self._terms, other._terms, max_degree):
-            out.update(component)
+        for degree in degrees:
+            for k in range(degree + 1):
+                _add_products(out, left[k], right[degree - k])
         return Expression._make(out)
-
-    def graded_product(self, other: "Expression", max_degree: int):
-        """Components of self * other in degrees 0..max_degree, each summed
-        directly over self_k * other_(d-k), so no longer pair is visited."""
-        for component in _graded_rows(self._terms, other._terms, max_degree):
-            yield Expression._make(component)
 
     def homogeneous_component(self, degree: int) -> "Expression":
         return Expression._make(

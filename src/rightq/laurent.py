@@ -106,12 +106,11 @@ class Laurent:
         if not isinstance(other, Laurent):
             return NotImplemented
         a, b = self._terms, other._terms
+        if len(a) == 1:
+            a, b = b, a
         if len(b) == 1:
             (e2, c2), = b.items()
             return Laurent._make({e + e2: c * c2 for e, c in a.items()})
-        if len(a) == 1:
-            (e1, c1), = a.items()
-            return Laurent._make({e1 + e: c1 * c for e, c in b.items()})
         out: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():

@@ -133,10 +133,9 @@ class Biword:
             raise ValueError(
                 f"rows differ in length: {len(top)} vs {len(bottom)}"
             )
-        for x in top:
-            if x < 1:
-                raise ValueError(f"letter {x} is not a positive integer")
-        for x in bottom:
+        for x in top + bottom:
+            if type(x) is not int:
+                raise TypeError(f"letter {x!r} is not an int")
             if x < 1:
                 raise ValueError(f"letter {x} is not a positive integer")
         self.top = top

@@ -1,7 +1,10 @@
 """The command line interface: formats and exit codes."""
 
 import os
+import re
+import shlex
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,27 @@ def kv(out: str) -> dict:
             key, _, value = line.partition("\t")
             pairs[key] = value
     return pairs
+
+
+# Every "$ rightq ..." block in README.md, as (command, expected stdout).
+README_EXAMPLES = re.findall(
+    r"^```\n\$ rightq ([^\n]*)\n(.*?)^```$",
+    (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+    flags=re.MULTILINE | re.DOTALL,
+)
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize(
+    "command, expected", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES]
+)
+def test_readme_example_output(capsys, command, expected):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert out == expected
 
 
 GOLDEN_5 = "123/122 + 123/212 - 213/122 + 123/221 - 231/212"
@@ -372,6 +396,22 @@ def test_report_gets_the_permissions_of_a_plain_open(capsys, tmp_path):
     assert stat.S_IMODE(kept.stat().st_mode) == 0o604
     assert "match\ttrue" in kept.read_text()
     assert sorted(tmp_path.iterdir()) == [fresh, kept]
+
+
+def test_report_is_written_through_a_symlink(capsys, tmp_path):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    target = shared / "rep.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    argv = ["basis", "--r", "2", "--degree", "2", "--report", str(link)]
+    assert run(capsys, *argv)[0] == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert "match\ttrue" in target.read_text()
+    assert sorted(tmp_path.iterdir()) == [link, shared]
+    assert list(shared.iterdir()) == [target]
 
 
 def test_report_path_that_is_a_directory_is_refused_before_the_check(

@@ -300,7 +300,8 @@ def test_qmm_rewrite_work_is_pinned(r, max_degree, variant, steps, terms, checks
 def test_qmm_peak_terms_are_pinned(r, max_degree, variant, peaks):
     system = SYSTEM_SQ if variant == "q" else SYSTEM_S
     f, b = ferm(r, variant), bos(r, max_degree, variant)
-    components = f.graded_product(b, max_degree)
+    fb = f.product(b, max_degree)
+    components = [fb.homogeneous_component(d) for d in range(max_degree + 1)]
     assert [reduce(c, system).max_intermediate_terms for c in components] == peaks
 
 
@@ -315,13 +316,30 @@ def test_content_blocks_match_whole_degree_reduction(r, max_degree, variant):
     series, system = ("q", SYSTEM_SQ) if variant == "q" else ("one", SYSTEM_S)
     f, b = ferm(r, series), bos(r, max_degree, series)
     report = qmm_check(r, max_degree, variant)
-    components = list(f.graded_product(b, max_degree))
+    fb = f.product(b, max_degree)
+    components = [fb.homogeneous_component(d) for d in range(max_degree + 1)]
     assert len(components) == len(report.per_degree)
     for row, component in zip(report.per_degree, components):
         whole = reduce(component, system)
         assert row.normal_form == whole.normal_form
         assert row.rewrite_steps == whole.rewrite_steps
         assert row.term_count_before_reduction == len(component)
+
+
+# The truncated products whose sizes the traced perfbench qmm pass gates on.
+@pytest.mark.parametrize(
+    "r, max_degree, series, sizes",
+    [
+        (4, 7, "one", [1, 0, 24, 124, 596, 2552, 10532, 42872]),
+        (3, 9, "q", [1, 0, 12, 46, 158, 502, 1550, 4726, 14318, 43222]),
+    ],
+    ids=["one-r4-d7", "q-r3-d9"],
+)
+def test_truncated_series_product_is_pinned(r, max_degree, series, sizes):
+    product = ferm(r, series).product(bos(r, max_degree, series), max_degree=max_degree)
+    assert len(product) == sum(sizes)
+    degrees = range(max_degree + 1)
+    assert [len(product.homogeneous_component(d)) for d in degrees] == sizes
 
 
 def test_each_reduction_holds_one_content_block(monkeypatch):

@@ -98,6 +98,14 @@ def test_biword_construction():
         Biword((0,), (1,))
     with pytest.raises(ValueError):
         Biword((1,), (-2,))
+    with pytest.raises(TypeError):
+        Biword((2.0, 1.0), (2, 1))
+    with pytest.raises(TypeError):
+        Biword((2, 1), (2, 1.0))
+    with pytest.raises(TypeError):
+        Biword((True,), (1,))
+    with pytest.raises(TypeError):
+        Biword((1,), (False,))
 
 
 def test_biword_equality_and_hash():
