@@ -79,13 +79,16 @@ def reducible_pairs(r: int) -> list[Biword]:
 
 
 def _as_q(q_value) -> Fraction:
-    if isinstance(q_value, float):
-        raise TypeError(f"q must be exact, not the float {q_value!r}")
-    if isinstance(q_value, str):
-        if q_value == "one":
-            return Fraction(1)
-        q_value = Fraction(q_value)
-    q = Fraction(q_value)
+    if isinstance(q_value, (float, bool)):
+        raise TypeError(
+            f"q must be exact, not the {type(q_value).__name__} {q_value!r}"
+        )
+    if q_value == "one":
+        return Fraction(1)
+    try:
+        q = Fraction(q_value)
+    except ZeroDivisionError:
+        raise ValueError(f"q = {q_value} has a zero denominator") from None
     if q == 0:
         raise ValueError("q = 0 is outside the coefficient ring")
     return q

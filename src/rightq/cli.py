@@ -77,8 +77,8 @@ def _strategy_arg(text: str):
 
 def _q_arg(text: str) -> Fraction:
     try:
-        return _as_q(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return _as_q(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad q {text!r}: {exc}") from exc
 
 

@@ -17,8 +17,7 @@ class Laurent:
         clean: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                if not (isinstance(e, int) and isinstance(c, int)):
-                    raise TypeError(f"term q^{e!r} * {c!r} is not over the ints")
+                _check_term(e, c)
                 if c:
                     clean[e] = c
         self._terms = clean
@@ -36,10 +35,7 @@ class Laurent:
 
     @classmethod
     def q_power(cls, exponent: int, coefficient: int = 1) -> "Laurent":
-        if not (isinstance(exponent, int) and isinstance(coefficient, int)):
-            raise TypeError(
-                f"term q^{exponent!r} * {coefficient!r} is not over the ints"
-            )
+        _check_term(exponent, coefficient)
         return cls._make({exponent: coefficient} if coefficient else {})
 
     def monomials(self) -> list[tuple[int, int]]:
@@ -160,6 +156,12 @@ class Laurent:
         return f"Laurent({self._terms!r})"
 
 
+def _check_term(exponent: int, coefficient: int) -> None:
+    # type(x) is int, not isinstance: a bool is not an exact int here.
+    if not (type(exponent) is int and type(coefficient) is int):
+        raise TypeError(f"term q^{exponent!r} * {coefficient!r} is not over the ints")
+
+
 def _constant(n: int) -> Laurent:
     # Unchecked Laurent.integer, for callers that already hold an int.
     return Laurent._make({0: n} if n else {})
@@ -174,6 +176,6 @@ Q_INV = Laurent._make({-1: 1})
 def as_laurent(value: "Laurent | int") -> Laurent:
     if isinstance(value, Laurent):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return _constant(value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")

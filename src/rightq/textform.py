@@ -1,7 +1,7 @@
 """Textual form of biwords and expressions.
 
 Grammar (whitespace between tokens is insignificant), as the parser
-reads it:
+reads it from the tokens of one pattern, _TOKEN:
 
     expr    := term (('+'|'-') term)*
     term    := '-'* [int '*'] [qpower '*'] biword | '-'* coeff
@@ -9,16 +9,19 @@ reads it:
     qpower  := 'q' ['^' ['-'] int]
     biword  := digits '/' digits | '(' intlist ')' '/' '(' intlist ')' | 'e'
 
-An int is a coefficient unless a '/' follows it, when it is the top row
-of a digits biword.  In the digits form every digit is one letter, so it
-only covers letters 1..9; the parenthesized form covers any letters.
-'e' is the empty biword.  A term that stops after its coefficient is a
-multiple of 'e', so '0' is the zero expression.  The printer emits
-terms in canonical order (degree, then top word, then bottom word;
-exponents ascending inside one coefficient), never a unary minus, and
-always stays inside the grammar.
+An int is a run of ASCII digits 0-9, and any character other than a
+token or ASCII whitespace is a ParseError.  An int is a coefficient
+unless a '/' follows it, when it is the top row of a digits biword.  In
+the digits form every digit is one letter, so it only covers letters
+1..9; the parenthesized form covers any letters.  'e' is the empty
+biword.  A term that stops after its coefficient is a multiple of 'e',
+so '0' is the zero expression.  The printer emits terms in canonical
+order (degree, then top word, then bottom word; exponents ascending
+inside one coefficient), never a unary minus, and always stays inside
+the grammar.
 """
 
+import re
 from typing import NamedTuple
 
 from .expressions import Expression, _accumulate
@@ -52,33 +55,20 @@ class _Token(NamedTuple):
     pos: int
 
 
-_SYMBOLS = set("+-*/^(),")
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[qe])|(?P<sym>[-+*/^(),])|[ \t\r\n]+|(?P<bad>.)"
+)
 
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-        elif ch in ("q", "e"):
-            tokens.append(_Token("name", ch, i))
-            i += 1
-        elif ch in _SYMBOLS:
-            tokens.append(_Token("sym", ch, i))
-            i += 1
-        else:
-            raise ParseError(i, "a token", f"{ch!r}")
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(m.start(), "a token", repr(m[0]))
+        if kind:
+            tokens.append(_Token(kind, m[0], m.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

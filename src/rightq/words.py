@@ -165,6 +165,8 @@ class Biword:
         return row_key((self.top, self.bottom))
 
     def __lt__(self, other: "Biword") -> bool:
+        if not isinstance(other, Biword):
+            return NotImplemented
         return self.sort_key() < other.sort_key()
 
     def __mul__(self, other: "Biword") -> "Biword":

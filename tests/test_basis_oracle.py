@@ -253,11 +253,13 @@ def test_q_zero_rejected():
         check_basis_dimension(2, 2, 0)
     with pytest.raises(ValueError):
         relation_matrix(2, 2, Fraction(0))
+    with pytest.raises(ValueError, match="zero denominator"):
+        check_basis_dimension(2, 2, "1/0")
 
 
 def test_float_q_rejected():
     # 0.1 is not 1/10 in binary; ranking at its exact value would be silent.
-    for q in (0.1, 1.0):
+    for q in (0.1, 1.0, True):
         with pytest.raises(TypeError, match="exact"):
             check_basis_dimension(2, 3, q)
         with pytest.raises(TypeError, match="exact"):

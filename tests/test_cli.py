@@ -89,6 +89,10 @@ def test_normalize_parse_error_exit(capsys):
     assert code == 2
     assert out == ""
     assert "parse error" in err
+    code, out, err = run(capsys, "normalize", "²/1")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: offset 0: expected a token, found '²'\n"
 
 
 def test_normalize_term_cap_exit(capsys):
@@ -442,6 +446,10 @@ def test_basis_rejects_zero_q(capsys):
     with pytest.raises(SystemExit) as info:
         main(["basis", "--r", "2", "--degree", "2", "--q", "0"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["basis", "--r", "2", "--degree", "2", "--q", "1/0"])
+    assert info.value.code == 2
+    assert "bad q '1/0': q = 1/0 has a zero denominator" in capsys.readouterr().err
 
 
 def test_basis_one_letter_high_degree(capsys):

@@ -25,6 +25,14 @@ def test_construction_drops_zero_coefficients():
     assert Expression({bw: 2}).coefficient(bw) == 2
 
 
+def test_construction_takes_int_coefficients_only():
+    bw = Biword((2, 1), (1, 2))
+    with pytest.raises(TypeError, match="cannot use bool"):
+        Expression({bw: True})
+    with pytest.raises(TypeError, match="cannot use bool"):
+        Expression.single(bw, True)
+
+
 def test_terms_are_sorted_canonically():
     a = Biword((2,), (1,))
     b = Biword((1, 1), (2, 1))

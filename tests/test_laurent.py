@@ -115,8 +115,21 @@ def test_constructor_takes_int_terms_only(terms):
         lambda: Laurent.q_power(0.5),
         lambda: Laurent.integer(1.5),
         lambda: Laurent.integer(Fraction(1, 2)),
+        lambda: Laurent({1: True}),
+        lambda: Laurent({True: 2}),
+        lambda: Laurent.q_power(True, True),
+        lambda: Laurent.integer(True),
     ],
-    ids=["q_power-coefficient", "q_power-exponent", "integer", "integer-fraction"],
+    ids=[
+        "q_power-coefficient",
+        "q_power-exponent",
+        "integer",
+        "integer-fraction",
+        "constructor-bool-coefficient",
+        "constructor-bool-exponent",
+        "q_power-bools",
+        "integer-bool",
+    ],
 )
 def test_public_builders_take_ints_only(build):
     with pytest.raises(TypeError, match="is not over the ints"):

@@ -107,6 +107,12 @@ def test_parse_error_positions():
         (")", "offset 0: expected a term, found ')'"),
         ("q^*2", "offset 2: expected an integer, found '*'"),
         ("12 - ", "offset 5: expected a term, found end of input"),
+        # digits are ASCII 0-9 only, not every character str.isdigit admits
+        ("²/1", "offset 0: expected a token, found '²'"),
+        ("1/²", "offset 2: expected a token, found '²'"),
+        ("q^²", "offset 2: expected a token, found '²'"),
+        ("(①)/(1)", "offset 1: expected a token, found '①'"),
+        ("٣/١", "offset 0: expected a token, found '٣'"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as info:

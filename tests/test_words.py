@@ -121,6 +121,8 @@ def test_biword_ordering_is_length_then_rows():
     c = Biword((1, 2), (3, 1))
     d = Biword((1, 2), (3, 2))
     assert sorted([d, c, b, a]) == [a, b, c, d]
+    with pytest.raises(TypeError, match="not supported"):
+        a < 5
 
 
 def test_concatenation():
