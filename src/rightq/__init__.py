@@ -2,10 +2,10 @@
 
 The package turns expressions in noncommuting biletter generators into
 canonical normal forms supported on double-descent-free biwords, checks
-the resulting basis against an independent linear-algebra oracle,
-transports ideal membership between q = 1 and generic q through the
-q-weighting phi, and verifies the quantum MacMahon master identity
-degree by degree at desk scale.
+the resulting basis by ranking the engine's own relations without
+rewriting, transports ideal membership between q = 1 and generic q
+through the q-weighting phi, and verifies the quantum MacMahon master
+identity degree by degree at desk scale.
 """
 
 from .basis_oracle import (

@@ -1,10 +1,10 @@
 """Linear-algebra oracle for the dimension of each graded piece.
 
-Independently of the rewrite engine, the span of the defining relations
-in a fixed degree is computed as the exact rank of an integer matrix:
-one row per (left context, reducible pair, right context), one column
-per biword of that degree.  The codimension must match the count of
-irreducible biwords obtained by brute enumeration, and a closed form.
+Without rewriting, the span of the engine's own relations (its weighted
+rule table) in a fixed degree is computed as the exact rank of an integer
+matrix: one row per (left context, reducible pair, right context), one
+column per biword of that degree.  The codimension must match the count
+of irreducible biwords obtained by brute enumeration, and a closed form.
 
 A rule only rearranges the letters within each row of a biword, so
 every relation row is supported inside one content block: the biwords
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .rewrite import SYSTEM_S, _leftmost_nf
+from .rewrite import SYSTEM_S, SYSTEM_SQ, _leftmost_nf
 from .words import Biword, Word, _at_least, descent_mask, imv, inv
 
 DEFAULT_BUDGET = 10**6
@@ -95,17 +95,21 @@ def _as_q(q_value) -> Fraction:
 
 
 def _relation_stencil(q: Fraction) -> dict[bool, list[tuple[int, int, int]]]:
-    """Integer-cleared coefficients of (pair) - (its replacement).
+    """The weighted rule table's (pair) - (its replacement) at q = p/s.
 
-    Keyed by whether the bottom letters are equal; entries are
-    (top arrangement, bottom arrangement, coefficient) with arrangement
-    0 meaning kept and 1 meaning swapped.
+    Keyed by whether the bottom letters are equal; entries are (top
+    swapped, bottom swapped, coefficient), with each relation scaled by
+    p^-lo * s^hi, where lo..hi span its powers of q, to clear denominators.
     """
-    p, s = q.numerator, q.denominator
-    return {
-        True: [(0, 0, s), (1, 0, -p)],
-        False: [(0, 0, p * s), (1, 1, -p * s), (1, 0, -p * p), (0, 1, s * s)],
-    }
+    stencil = {}
+    for equal, rules in SYSTEM_SQ.stencil.items():
+        relation = [(0, 0, SYSTEM_SQ.one)] + [(ti, bi, -c) for ti, bi, c, _ in rules]
+        powers = [e for *_, c in relation for e, _ in c.monomials()]
+        scale = q.numerator ** -min(powers) * q.denominator ** max(powers)
+        stencil[equal] = [
+            (ti, bi, int(c.eval_at_rational(q) * scale)) for ti, bi, c in relation
+        ]
+    return stencil
 
 
 def _column_keys(r: int, n: int) -> tuple[list[Word], list[int], list[int]]:

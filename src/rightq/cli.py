@@ -28,6 +28,7 @@ from .rewrite import (
     RIGHTMOST,
     SYSTEM_S,
     TermCapExceeded,
+    _SYSTEMS,
     _random_rows,
     check_ambiguity,
     check_confluence_fuzz,
@@ -132,7 +133,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_check_ambiguities(args) -> int:
-    systems = [args.system] if args.system else ["s", "sq"]
+    systems = [args.system] if args.system else list(_SYSTEMS)
     failures = 0
     checked = 0
     for tag in systems:
@@ -335,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="reduce an expression to normal form")
-    p.add_argument("--system", choices=["s", "sq"], default="s")
+    p.add_argument("--system", choices=list(_SYSTEMS), default="s")
     p.add_argument("--strategy", type=_strategy_arg, default=LEFTMOST)
     p.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
     p.add_argument("expr")
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = check_sub.add_parser(
         "ambiguities", help="resolve all overlaps over letters 1..3 both ways"
     )
-    p.add_argument("--system", choices=["s", "sq"])
+    p.add_argument("--system", choices=list(_SYSTEMS))
     p.set_defaults(func=_cmd_check_ambiguities)
 
     p = check_sub.add_parser(
@@ -370,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--system", choices=["s", "sq"], default="s")
+    p.add_argument("--system", choices=list(_SYSTEMS), default="s")
     p.set_defaults(func=_cmd_check_confluence)
 
     p = check_sub.add_parser(

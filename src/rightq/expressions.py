@@ -9,7 +9,7 @@ cutoff.
 """
 
 from .laurent import Laurent, ONE, as_laurent
-from .words import Biword, Rows, _descent_mask, row_key
+from .words import Biword, Rows, _at_least, _descent_mask, row_key
 
 
 def _accumulate(acc: dict, terms: dict, scale: "Laurent | int" = 1) -> None:
@@ -138,6 +138,7 @@ class Expression:
         than max_degree is visited."""
         if max_degree is None:
             max_degree = self.max_length() + other.max_length()
+        _at_least(0, max_degree=max_degree)
         degrees = range(max_degree + 1)
         left: list[list] = [[] for _ in degrees]
         right: list[list] = [[] for _ in degrees]

@@ -104,6 +104,7 @@ def ferm(r: int, variant: str = "q") -> Expression:
     lexicographically, so construction order is reproducible.  The empty
     subset contributes the unit term.
     """
+    _at_least(1, r=r)
     return Expression._make(dict(_ferm_terms(r, r, _series_weighted(variant))))
 
 
@@ -113,6 +114,8 @@ def bos(r: int, max_len: int, variant: str = "q") -> Expression:
     Built one sorted content at a time, contents by length, from the same
     terms that qmm_check builds for each of its content blocks.
     """
+    _at_least(1, r=r)
+    _at_least(0, max_len=max_len)
     weighted = _series_weighted(variant)
     terms: dict[Rows, "Laurent | int"] = {}
     for n in range(max_len + 1):

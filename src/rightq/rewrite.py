@@ -12,10 +12,12 @@ and the q-weighted system "sq" by
     (y x / b a) + q (y x / a b) - q^-1 (x y / b a)   when a > b,
     q (y x / a a)                                     when a = b.
 
+_RULES writes the weighted rules once; the plain rules are their values
+at q = 1, and the basis oracle ranks the same table at rational q.
 Every replacement strictly lowers the measure imv(bottom) + inv(top):
 the three branches above drop it by exactly 2, 1, 1 and the swap branch
-by 1.  A replacement only rearranges the pair's own letters, so the drop
-is the same in every context: each system computes it once from the
+by 1.  A replacement only swaps letters within a row of the pair, so the
+drop is the same in every context: each system computes it once from the
 bare pair, and a child's measure is its parent's less that drop.  The
 engine checks the drop on every rewrite and treats a violation as
 internal corruption.  Under "s" the memo holds ints and constant inputs
@@ -76,11 +78,11 @@ class TermCapExceeded(RuntimeError):
     """Raised when an intermediate expression outgrows the configured cap."""
 
 
-# The weighted rules above as (top, bottom, coefficient) replacing
-# (x y / a b), keyed by a == b; the plain rules are their values at q = 1.
+# The weighted rules above as (top swapped, bottom swapped, coefficient)
+# replacing (x y / a b), keyed by a == b.
 _RULES = {
-    True: (("yx", "aa", Q),),
-    False: (("yx", "ba", ONE), ("yx", "ab", Q), ("xy", "ba", -Q_INV)),
+    True: ((1, 0, Q),),
+    False: ((1, 1, ONE), (1, 0, Q), (0, 1, -Q_INV)),
 }
 
 
@@ -88,31 +90,25 @@ class ReductionSystem:
     """One of the two rule tables, identified by tag "s" or "sq".
 
     stencil[a == b]: (top swapped, bottom swapped, coefficient, measure
-    drop) per replacement of (x y / a b), with int coefficients under "s".
+    drop) per replacement of (x y / a b); one is the unit.  Ints under "s".
     """
 
-    __slots__ = ("tag", "stencil")
+    __slots__ = ("tag", "one", "stencil")
 
     def __init__(self, tag: str):
         if tag not in ("s", "sq"):
             raise ValueError(f"unknown reduction system {tag!r}")
         self.tag = tag
+        self.one = ONE if tag == "sq" else 1
         self.stencil = {}
         for equal, rules in _RULES.items():
-            pair = Biword((2, 1), (1, 1) if equal else (2, 1))  # (x y / a b)
-            letter = dict(zip("xyab", pair.top + pair.bottom))
+            top, bottom = (2, 1), (1, 1) if equal else (2, 1)  # (x y / a b)
+            tops, bottoms = (top, top[::-1]), (bottom, bottom[::-1])
             self.stencil[equal] = entries = []
-            for top, bottom, weighted in rules:
-                child = Biword(map(letter.get, top), map(letter.get, bottom))
-                # A rearrangement of the pair changes no inversion with its
-                # context, so the drop holds wherever the pair sits.
-                if (sorted(child.top), sorted(child.bottom)) != (
-                    sorted(pair.top), sorted(pair.bottom)
-                ):
-                    raise AssertionError(f"{top}/{bottom} does not rearrange xy/ab")
-                swaps = int(child.top != pair.top), int(child.bottom != pair.bottom)
+            for ti, bi, weighted in rules:
                 coeff = weighted if tag == "sq" else weighted.eval_at_one()
-                entries.append((*swaps, coeff, pair.inv_plus() - child.inv_plus()))
+                drop = inv(top) + imv(bottom) - inv(tops[ti]) - imv(bottoms[bi])
+                entries.append((ti, bi, coeff, drop))
 
     def __repr__(self) -> str:
         return f"ReductionSystem({self.tag!r})"
@@ -120,14 +116,13 @@ class ReductionSystem:
 
 SYSTEM_S = ReductionSystem("s")
 SYSTEM_SQ = ReductionSystem("sq")
+_SYSTEMS = {system.tag: system for system in (SYSTEM_S, SYSTEM_SQ)}
 
 
 def system_by_name(name: str) -> ReductionSystem:
-    if name == "s":
-        return SYSTEM_S
-    if name == "sq":
-        return SYSTEM_SQ
-    raise ValueError(f"unknown reduction system {name!r}")
+    if name not in _SYSTEMS:
+        raise ValueError(f"unknown reduction system {name!r}")
+    return _SYSTEMS[name]
 
 
 @dataclass(frozen=True)
@@ -192,15 +187,14 @@ def measure_check_count() -> int:
 
 def _expand_rows(
     rows: Rows, mask: int, pos0: int, system: ReductionSystem, parent_level: int
-) -> tuple[list[tuple[Rows, int, "Laurent | int", int]], str]:
+) -> list[tuple[Rows, int, "Laurent | int", int]]:
     """Apply the local rule at 0-based position pos0 of rows = (top, bottom).
 
-    mask is the parent's double-descent mask.  Returns ((child rows, child
-    mask, rule coefficient, child measure), ...) plus the rule kind,
-    verifying the strict measure drop for every child.  The rule rewrites
-    columns pos0 and pos0 + 1 only, so a child's mask differs from its
-    parent's at most in bits pos0 - 1, pos0 and pos0 + 1, and only those
-    are recomputed.
+    mask is the parent's double-descent mask.  Returns [(child rows, child
+    mask, rule coefficient, child measure), ...], verifying the strict
+    measure drop for every child.  The rule rewrites columns pos0 and
+    pos0 + 1 only, so a child's mask differs from its parent's at most in
+    bits pos0 - 1, pos0 and pos0 + 1, and only those are recomputed.
     """
     global _measure_checks
     top, bottom = rows
@@ -237,7 +231,7 @@ def _expand_rows(
                 f"{format_word_pair(*child)} ({parent_level} -> {level})"
             )
         out.append((child, child_mask, coeff, level))
-    return out, ("swap" if a == b else "split")
+    return out
 
 
 def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression:
@@ -247,7 +241,7 @@ def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression
             f"position {position} is not interior to {bw}"
         )
     rows = bw.top, bw.bottom
-    children, _ = _expand_rows(
+    children = _expand_rows(
         rows, _descent_mask(*rows), position - 1, system, bw.inv_plus()
     )
     return Expression._make({child: coeff for child, _, coeff, _ in children})
@@ -306,9 +300,10 @@ def _reduce_rows(
                 continue  # earlier contributions cancelled
             mask = bucket[rows]
             pos0 = _choose(strategy, mask, rng)
-            children, kind = _expand_rows(rows, mask, pos0, system, level)
+            children = _expand_rows(rows, mask, pos0, system, level)
             steps += 1
             if trace is not None:
+                kind = "swap" if rows[1][pos0] == rows[1][pos0 + 1] else "split"
                 trace.append(TraceStep(Biword._make(*rows), pos0 + 1, kind))
             for child, child_mask, coeff, child_level in children:
                 s = work.get(child)
@@ -376,7 +371,7 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
     """Leftmost normal form of rows, held to the term cap; shared, read-only."""
     memo = _NF_CACHES.setdefault(system.tag, {})
     if rows not in memo:
-        one = ONE if system.tag == "sq" else 1
+        one = system.one
         # Entries as _expand_rows makes them: (rows, mask, coefficient, level).
         # An expanded entry goes back as (rows, children) below its children;
         # they lie strictly lower, so all are in memo when it is on top again.
@@ -400,7 +395,7 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
                 cur, mask, _, level = entry
                 if mask:
                     pos0 = (mask & -mask).bit_length() - 1
-                    children, _ = _expand_rows(cur, mask, pos0, system, level)
+                    children = _expand_rows(cur, mask, pos0, system, level)
                     stack.append((cur, children))
                     stack += children
                 else:

@@ -16,6 +16,7 @@ from rightq import (
     Expression,
     SYSTEM_S,
     SYSTEM_SQ,
+    check_ambiguity,
     check_basis_dimension,
     count_irreducible,
     enumerate_biwords,
@@ -26,7 +27,8 @@ from rightq import (
     relation_matrix,
     spanning_rank,
 )
-from rightq.basis_oracle import _closed_form, _measure_priority
+from rightq.basis_oracle import _closed_form, _measure_priority, _relation_stencil
+from rightq.laurent import ONE, Q
 
 
 def transfer_matrix_count(r: int, n: int) -> int:
@@ -367,6 +369,40 @@ def test_relation_matrix_rows_unchanged(r, n, q):
     rows = sorted(tuple(sorted(row.items())) for row in relation_matrix(r, n, q))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == _RELATION_DIGESTS[r, n, q]
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 5), Fraction(-7, 2)])
+def test_relation_stencil_clears_the_weighted_table(q):
+    # q = p/s: the two-term rows are scaled by s, the four-term rows by p*s.
+    p, s = q.numerator, q.denominator
+    assert _relation_stencil(q) == {
+        True: [(0, 0, s), (1, 0, -p)],
+        False: [(0, 0, p * s), (1, 1, -p * s), (1, 0, -p * p), (0, 1, s * s)],
+    }
+
+
+@pytest.mark.parametrize(
+    "change, relation_rank",
+    [
+        ({True: ((1, 0, ONE),)}, 320),
+        ({False: ((1, 1, ONE), (1, 0, Q), (0, 1, -Q))}, 321),
+    ],
+    ids=["swap-q-as-1", "split-q-inverse-as-q"],
+)
+def test_a_wrong_weighted_table_fails_overlaps_and_rank(
+    monkeypatch, change, relation_rank
+):
+    # The oracle ranks the engine's own sq table, so a wrong rule there
+    # must show both as an unresolved overlap and as a wrong rank.
+    rules = {**rightq.rewrite._RULES, **change}
+    monkeypatch.setattr(rightq.rewrite, "_RULES", rules)
+    wrong = rightq.rewrite.ReductionSystem("sq")
+    overlaps = itertools.combinations_with_replacement((3, 2, 1), 3)
+    assert not all(check_ambiguity(3, 2, 1, *abc, wrong) for abc in overlaps)
+    monkeypatch.setattr(SYSTEM_SQ, "stencil", wrong.stencil)
+    report = check_basis_dimension(3, 3, Fraction(3, 5))
+    assert (report.relation_rank, report.irreducible_count) == (relation_rank, 415)
+    assert not report.match
 
 
 def compositions(r, n):

@@ -100,6 +100,13 @@ def test_truncated_product_is_a_truncation(e, f):
         assert truncated == expected
 
 
+def test_truncated_product_refuses_a_negative_degree():
+    e = Expression.unit()
+    with pytest.raises(ValueError, match="max_degree must be at least 0, got -1"):
+        e.product(e, max_degree=-1)
+    assert e.product(e, max_degree=0) == e
+
+
 @given(expressions())
 def test_homogeneous_components_partition(e):
     total = Expression.zero()

@@ -53,6 +53,22 @@ def test_ferm_is_irreducible_and_circular():
         assert f.coefficient(EMPTY_BIWORD) == 1
 
 
+@pytest.mark.parametrize("r", [0, -2])
+def test_ferm_refuses_an_empty_or_negative_alphabet(r):
+    with pytest.raises(ValueError, match=f"r must be at least 1, got {r}"):
+        ferm(r)
+
+
+def test_bos_refuses_an_empty_alphabet_or_negative_length():
+    with pytest.raises(ValueError, match="r must be at least 1, got -1"):
+        bos(-1, 2)
+    with pytest.raises(ValueError, match="r must be at least 1, got 0"):
+        bos(0, 2)
+    with pytest.raises(ValueError, match="max_len must be at least 0, got -1"):
+        bos(2, -1)
+    assert bos(2, 0) == Expression.unit()
+
+
 def test_bos_smallest_cases():
     assert bos(1, 2, "q") == ex("e + 1/1 + 11/11")
     assert bos(2, 2, "q") == ex(

@@ -297,7 +297,7 @@ def test_local_measure_drop_matches_full_recount(b):
     for system in (SYSTEM_S, SYSTEM_SQ):
         for position in b.double_descents():
             before = rightq.rewrite.measure_check_count()
-            children, _ = rightq.rewrite._expand_rows(
+            children = rightq.rewrite._expand_rows(
                 rows, mask, position - 1, system, b.inv_plus()
             )
             assert rightq.rewrite.measure_check_count() - before == len(children)
@@ -316,7 +316,7 @@ def test_carried_mask_matches_fresh_scan(b):
     assert _spots(mask) == b.double_descents()
     for system in (SYSTEM_S, SYSTEM_SQ):
         for position in b.double_descents():
-            children, _ = rightq.rewrite._expand_rows(
+            children = rightq.rewrite._expand_rows(
                 rows, mask, position - 1, system, b.inv_plus()
             )
             for child_rows, child_mask, _, _ in children:
@@ -324,16 +324,22 @@ def test_carried_mask_matches_fresh_scan(b):
                 assert _spots(child_mask) == child.double_descents()
 
 
-def test_stencil_rejects_a_rule_that_is_no_rearrangement(monkeypatch):
+def test_stencil_rejects_a_rule_that_keeps_the_measure(monkeypatch):
     assert SYSTEM_S.stencil == {
         True: [(1, 0, 1, 1)],
         False: [(1, 1, 1, 2), (1, 0, 1, 1), (0, 1, -1, 1)],
     }
-    monkeypatch.setattr(
-        rightq.rewrite, "_RULES", {True: (("yy", "aa", Laurent.q_power(1)),)}
-    )
-    with pytest.raises(AssertionError):
-        rightq.rewrite.ReductionSystem("s")
+    q = Laurent.q_power
+    assert SYSTEM_SQ.stencil == {
+        True: [(1, 0, q(1), 1)],
+        False: [(1, 1, q(0), 2), (1, 0, q(1), 1), (0, 1, q(-1, -1), 1)],
+    }
+    # An entry that swaps nothing leaves the pair, and its measure, as it is.
+    monkeypatch.setattr(rightq.rewrite, "_RULES", {True: ((0, 0, q(0)),)})
+    kept = rightq.rewrite.ReductionSystem("s")
+    assert kept.stencil == {True: [(0, 0, 1, 0)]}
+    with pytest.raises(AssertionError, match="measure failed to drop"):
+        rewrite_at(bw("21/11"), 1, kept)
 
 
 def test_measure_check_counter_advances():

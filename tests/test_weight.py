@@ -12,10 +12,13 @@ from rightq import (
     SYSTEM_SQ,
     check_circuit_multiplicativity,
     check_principle,
+    enumerate_biwords,
     in_ideal,
+    inv,
     parse_expression,
     phi,
     phi_inv,
+    reduce_biword,
 )
 
 from _strategies import circular_expressions, expressions
@@ -90,3 +93,28 @@ def test_membership_transports_on_non_members():
 @given(expressions())
 def test_principle_on_random_expressions(e):
     assert check_principle(e)
+
+
+def test_each_weighted_rule_is_its_plain_rule_conjugated_by_phi():
+    # The "1 = q" principle on the one table: with d = inv(bottom) -
+    # inv(top), each sq coefficient is q^(d(child) - d(pair)) times the
+    # plain one, on the model pair (x y / a b).
+    for equal, rules in SYSTEM_SQ.stencil.items():
+        top, bottom = (2, 1), (1, 1) if equal else (2, 1)
+        for (ti, bi, weighted, _), (*_, plain, _) in zip(
+            rules, SYSTEM_S.stencil[equal], strict=True
+        ):
+            child_top = top[::-1] if ti else top
+            child_bottom = bottom[::-1] if bi else bottom
+            shift = inv(child_bottom) - inv(child_top) - inv(bottom) + inv(top)
+            assert weighted == Laurent.q_power(shift, plain)
+
+
+@pytest.mark.parametrize("r, max_len", [(2, 6), (3, 4)])
+def test_weighted_normal_forms_are_plain_ones_through_phi(r, max_len):
+    # NF_sq(w) = q^(-d(w)) phi(NF_s(w)) on every biword: 12,842 in all.
+    for n in range(max_len + 1):
+        for w in enumerate_biwords(r, n):
+            plain = reduce_biword(w, SYSTEM_S)
+            shift = Laurent.q_power(inv(w.top) - inv(w.bottom))
+            assert reduce_biword(w, SYSTEM_SQ) == phi(plain).scale(shift)
