@@ -5,7 +5,7 @@ report files written via --report hold such lines in blank-line
 separated blocks.  Exit status 0 means success and every requested
 check passed, 1 means some verification failed, 2 means a usage or
 parse error or a --report path that cannot be written.  Setting
-RIGHTQ_VERBOSE=1 adds progress detail on stderr.
+RIGHTQ_VERBOSE=1 adds progress notes from check principle on stderr.
 """
 
 import argparse
@@ -17,11 +17,12 @@ import stat
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .basis_oracle import _as_q, check_basis_dimension, reducible_pairs
 from .expressions import Expression
 from .laurent import Laurent
-from .macmahon import qmm_check
+from .macmahon import _VARIANTS, qmm_check
 from .rewrite import (
     DEFAULT_TERM_CAP,
     LEFTMOST,
@@ -133,19 +134,16 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_check_ambiguities(args) -> int:
-    systems = [args.system] if args.system else list(_SYSTEMS)
+    systems = [system_by_name(args.system)] if args.system else _SYSTEMS.values()
     failures = 0
     checked = 0
-    for tag in systems:
-        system = system_by_name(tag)
-        for a in range(1, 4):
-            for b in range(1, a + 1):
-                for c in range(1, b + 1):
-                    ok = check_ambiguity(3, 2, 1, a, b, c, system)
-                    checked += 1
-                    if not ok:
-                        failures += 1
-                    _emit("overlap", f"{tag} 321/{a}{b}{c} {'ok' if ok else 'FAIL'}")
+    for system in systems:
+        for a, b, c in sorted(combinations_with_replacement((3, 2, 1), 3)):
+            ok = check_ambiguity(3, 2, 1, a, b, c, system)
+            checked += 1
+            if not ok:
+                failures += 1
+            _emit("overlap", f"{system.tag} 321/{a}{b}{c} {'ok' if ok else 'FAIL'}")
     _emit("checked", checked)
     _emit("failures", failures)
     return 0 if failures == 0 else 1
@@ -226,18 +224,18 @@ def _report(path: "str | None"):
     """A save(blocks) for the --report path, or one that does nothing.
 
     A temporary file beside path (beside its target, if path is a symlink)
-    is made on entry, so a path that cannot be written fails before any
-    work.  It replaces that file when the block completes, so a symlink
-    stays a link as under open(path, "w"), and is removed if the block
-    raises, so a check that stops leaves no file behind and any earlier
-    report as it was.
+    is made on entry, so a path that cannot be written, or whose target is
+    not a regular file, fails before any work.  It replaces that file when
+    the block completes, so a symlink stays a link as under open(path, "w"),
+    and is removed if the block raises, so a check that stops leaves no
+    file behind and any earlier report as it was.
     """
     if not path:
         yield lambda blocks: None
         return
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"{path} is a directory")
     path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} is not a regular file")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -274,7 +272,6 @@ def _cmd_qmm(args) -> int:
                 f"{row.degree}\t{row.term_count_before_reduction}"
                 f"\t{row.rewrite_steps}\t{_text(row.ok)}"
             )
-            _note(f"degree {row.degree}: {row.rewrite_steps} rewrites")
         _emit("ok", report.ok)
         blocks = [header + [("ok", report.ok)]]
         for row in report.per_degree:
@@ -292,9 +289,8 @@ def _cmd_qmm(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    q_value = args.q if args.q is not None else "one"
     with _report(args.report) as save:
-        report = check_basis_dimension(args.r, args.degree, q_value)
+        report = check_basis_dimension(args.r, args.degree, args.q)
         pairs = [
             ("r", report.r),
             ("degree", report.degree),
@@ -385,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qmm", help="verify the master identity degreewise")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--variant", choices=["q", "one", "strong"], default="strong")
+    p.add_argument("--variant", choices=_VARIANTS, default="strong")
     p.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_qmm)
@@ -393,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="dimension oracle for one degree")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--q", type=_q_arg)
+    p.add_argument("--q", type=_q_arg, default="one")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_basis)
 

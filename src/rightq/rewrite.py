@@ -38,9 +38,9 @@ lowest set bit.  Input measures come from inv and imv tables over the
 call's distinct top and bottom words.  Each bucket is sorted by
 words.row_key: the order within a level changes no coefficient, but
 it does change the peak term count, the trace and which biword draws
-each random choice.  reduce_biword() and normal_form() read one memo of
-leftmost normal forms per system, keyed by rows too, filled in one
-post-order pass through the same rewrite kernel, and read through one
+each random choice.  reduce_biword() and normal_form() read one leftmost
+memo per ReductionSystem object (not per tag), keyed by rows, filled in
+one post-order pass through the same rewrite kernel and read through one
 reader that applies the term cap.  Its values are shared and read-only:
 a lone unit-coefficient child (the plain swap) lends its parent its dict.
 in_ideal() and the confluence fuzz compare row dicts, not Expressions.
@@ -351,9 +351,9 @@ def reduce(
     )
 
 
-# Leftmost normal forms per system tag, keyed by (top, bottom) rows, with
+# Leftmost normal forms per system object, keyed by (top, bottom) rows, with
 # int coefficients under "s".  Values are shared and read-only.
-_NF_CACHES: dict[str, dict[Rows, dict[Rows, Laurent | int]]] = {}
+_NF_CACHES: dict[ReductionSystem, dict[Rows, dict[Rows, Laurent | int]]] = {}
 
 
 def clear_caches() -> None:
@@ -369,7 +369,7 @@ def _within_cap(terms: dict) -> dict:
 
 def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
     """Leftmost normal form of rows, held to the term cap; shared, read-only."""
-    memo = _NF_CACHES.setdefault(system.tag, {})
+    memo = _NF_CACHES.setdefault(system, {})
     if rows not in memo:
         one = system.one
         # Entries as _expand_rows makes them: (rows, mask, coefficient, level).

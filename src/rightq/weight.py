@@ -16,18 +16,22 @@ class NotCircular(ValueError):
     """Raised when a circuit-only check receives a non-circular expression."""
 
 
+def _rescale(expr: Expression, sign: int) -> Expression:
+    """Each term alpha of expr times q^(sign * inv_minus(alpha))."""
+    terms = expr._terms.items()
+    return Expression._make(
+        {(t, b): c.shift(sign * (inv(b) - inv(t))) for (t, b), c in terms}
+    )
+
+
 def phi(expr: Expression) -> Expression:
     """Rescale each term alpha by q^(inv_minus(alpha))."""
-    return Expression._make(
-        {(t, b): c.shift(inv(b) - inv(t)) for (t, b), c in expr._terms.items()}
-    )
+    return _rescale(expr, 1)
 
 
 def phi_inv(expr: Expression) -> Expression:
     """Inverse rescaling by q^(-inv_minus(alpha))."""
-    return Expression._make(
-        {(t, b): c.shift(inv(t) - inv(b)) for (t, b), c in expr._terms.items()}
-    )
+    return _rescale(expr, -1)
 
 
 def check_principle(expr: Expression) -> bool:

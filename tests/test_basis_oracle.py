@@ -307,7 +307,7 @@ def test_measure_priority_orders_columns_by_descending_measure(r, n):
 def test_plain_memo_holds_bare_ints():
     rightq.rewrite.clear_caches()
     spanning_rank(2, 4)
-    memo = rightq.rewrite._NF_CACHES["s"]
+    memo = rightq.rewrite._NF_CACHES[SYSTEM_S]
     assert {(b.top, b.bottom) for b in enumerate_biwords(2, 4)} <= memo.keys()
     assert all(type(c) is int for nf in memo.values() for c in nf.values())
 

@@ -270,6 +270,14 @@ def test_verbose_notes_go_to_stderr_only(capsys, monkeypatch):
     assert run(capsys, *argv) == (0, quiet_out, "")
 
 
+def test_qmm_writes_no_verbose_notes(capsys, monkeypatch):
+    # The table already says what each degree cost once qmm_check returns.
+    monkeypatch.setenv("RIGHTQ_VERBOSE", "1")
+    code, _, err = run(capsys, "qmm", "--r", "2", "--max-degree", "3")
+    assert code == 0
+    assert err == ""
+
+
 def test_qmm_table_and_report(capsys, tmp_path):
     path = tmp_path / "qmm.tsv"
     code, out, _ = run(
@@ -432,6 +440,30 @@ def test_report_path_that_is_a_directory_is_refused_before_the_check(
     assert out == ""
     assert err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "link-to-fifo"])
+def test_report_target_that_is_not_a_regular_file_is_refused_before_the_check(
+    capsys, monkeypatch, tmp_path, through_link
+):
+    def no_check(*args):
+        raise AssertionError("check_basis_dimension ran")
+
+    monkeypatch.setattr(rightq.cli, "check_basis_dimension", no_check)
+    fifo = tmp_path / "rep.fifo"
+    os.mkfifo(fifo)
+    path = tmp_path / "link" if through_link else fifo
+    if through_link:
+        path.symlink_to(fifo)
+    code, out, err = run(
+        capsys, "basis", "--r", "2", "--degree", "2", "--report", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("is not a regular file\n")
+    assert err.count("\n") == 1
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(tmp_path.iterdir()) == sorted({fifo, path})
 
 
 def test_basis_rational_q(capsys):

@@ -414,6 +414,11 @@ def _memo_readers(system):
     check_confluence_fuzz(2, 4, 60, 1, system)
 
 
+def _snapshot(memo):
+    """A deep copy of memo under the same keys: systems match by identity."""
+    return copy.deepcopy(memo, {id(system): system for system in memo})
+
+
 @pytest.mark.parametrize("system", [SYSTEM_S, SYSTEM_SQ], ids=["s", "sq"])
 def test_memo_readers_leave_shared_values_alone(system):
     # Memo values are shared between entries, so a reader that wrote into
@@ -422,13 +427,13 @@ def test_memo_readers_leave_shared_values_alone(system):
     reduce_biword(bw("321/321"), system)
     reduce_biword(_SWAP_CHAIN, system)
     memo = rightq.rewrite._NF_CACHES
-    before = copy.deepcopy(memo)
+    before = _snapshot(memo)
     _memo_readers(system)
-    for tag, entries in before.items():
-        assert {rows: memo[tag][rows] for rows in entries} == entries
+    for key, entries in before.items():
+        assert {rows: memo[key][rows] for rows in entries} == entries
     # Once the readers have filled what they need, a second round adds
     # nothing and changes nothing.
-    before = copy.deepcopy(memo)
+    before = _snapshot(memo)
     _memo_readers(system)
     assert memo == before
 
@@ -549,13 +554,36 @@ def test_memo_fill_does_not_depend_on_the_order(monkeypatch, system):
         before = rightq.rewrite.measure_check_count()
         for b in order:
             reduce_biword(b, system)
-        memo = rightq.rewrite._NF_CACHES[system.tag]
+        memo = rightq.rewrite._NF_CACHES[system]
         reducible = [rows for rows in memo if rightq.rewrite._descent_mask(*rows)]
         assert len(memo) == 1365
         assert len(expanded) == 822
         assert sorted(expanded) == sorted(reducible)
         fills.append((memo, rightq.rewrite.measure_check_count() - before))
     assert fills[0] == fills[1]
+
+
+@pytest.mark.parametrize("wrong_first", [True, False], ids=["wrong-first", "sq-first"])
+def test_a_table_with_the_same_tag_has_its_own_memo(monkeypatch, wrong_first):
+    # Normal forms belong to the table that made them: a perturbed table
+    # tagged "sq" neither reads nor writes SYSTEM_SQ's leftmost memo.
+    rules = {**rightq.rewrite._RULES, True: ((1, 0, Laurent.integer(1)),)}
+    monkeypatch.setattr(rightq.rewrite, "_RULES", rules)
+    wrong = rightq.rewrite.ReductionSystem("sq")
+    single = Expression.single(bw("321/211"))
+    right_nf = reduce(single, SYSTEM_SQ).normal_form
+    rightq.rewrite.clear_caches()
+    wrong_nf = reduce_biword(bw("321/211"), wrong)  # alone in the memo
+    assert (len(right_nf), len(wrong_nf)) == (5, 7)  # biwords in each
+    order = [(wrong, wrong_nf), (SYSTEM_SQ, right_nf)]
+    if not wrong_first:
+        order.reverse()
+    rightq.rewrite.clear_caches()
+    for system, expected in order:
+        assert reduce_biword(bw("321/211"), system) == expected
+        assert normal_form(single, system) == expected
+        assert in_ideal(single - expected, system)
+    assert not in_ideal(single - wrong_nf, SYSTEM_SQ)
 
 
 def test_rewrite_steps_deterministic_and_bounded():
