@@ -19,7 +19,7 @@ import tempfile
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .basis_oracle import _as_q, check_basis_dimension, reducible_pairs
+from .basis_oracle import _as_q, check_basis_dimension
 from .expressions import Expression
 from .laurent import Laurent
 from .macmahon import _VARIANTS, qmm_check
@@ -162,20 +162,16 @@ def _cmd_check_confluence(args) -> int:
     return 0 if report.ok else 1
 
 
-def _random_ideal_member(
-    rng: random.Random, pairs: list[Biword], r: int, max_len: int
-) -> Expression:
+def _random_ideal_member(rng: random.Random, r: int, max_len: int) -> Expression:
+    """1 to 3 multiples of w - (w rewritten once), w a random reducible biword."""
     acc = Expression.zero()
     for _ in range(rng.randint(1, 3)):
-        g = pairs[rng.randrange(len(pairs))]
-        room = max_len - 2
-        left = Biword._make(*_random_rows(rng, r, rng.randint(0, room)))
-        right = Biword._make(*_random_rows(rng, r, room - len(left)))
-        relation = Expression.single(g) - rewrite_at(g, 1, SYSTEM_S)
-        wrapped = Expression.single(left).product(relation).product(
-            Expression.single(right)
-        )
-        acc = acc + wrapped.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+        w = Biword._make((), ())
+        while not w.double_descents():  # ends as r >= 2 and max_len >= 2
+            w = Biword._make(*_random_rows(rng, r, max_len))
+        position = rng.choice(w.double_descents())
+        relation = Expression.single(w) - rewrite_at(w, position, SYSTEM_S)
+        acc = acc + relation.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
     return acc
 
 
@@ -192,11 +188,10 @@ def _cmd_check_principle(args) -> int:
     _at_least(2, r=args.r)  # one letter has no reducible pair to build on
     _at_least(1, trials=args.trials)
     rng = random.Random(args.seed)
-    pairs = reducible_pairs(args.r)
     failures = 0
     for trial in range(args.trials):
         if trial % 2 == 0:
-            expr = _random_ideal_member(rng, pairs, args.r, 5)
+            expr = _random_ideal_member(rng, args.r, 5)
         else:
             expr = _random_expression(rng, args.r, 4)
         if not check_principle(expr):
@@ -221,7 +216,7 @@ def _new_file_mode(path: str) -> int:
 
 @contextlib.contextmanager
 def _report(path: "str | None"):
-    """A save(blocks) for the --report path, or one that does nothing.
+    """A save(blocks) for the --report path, or one that does nothing if None.
 
     A temporary file beside path (beside its target, if path is a symlink)
     is made on entry, so a path that cannot be written, or whose target is
@@ -230,9 +225,11 @@ def _report(path: "str | None"):
     and is removed if the block raises, so a check that stops leaves no
     file behind and any earlier report as it was.
     """
-    if not path:
+    if path is None:
         yield lambda blocks: None
         return
+    if not path:  # realpath would read "" as the working directory
+        raise OSError("the --report path is empty")
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path} is not a regular file")

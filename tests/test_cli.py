@@ -4,14 +4,16 @@ import os
 import re
 import shlex
 import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import rightq.cli
 import rightq.rewrite
-from rightq import parse_expression
+from rightq import SYSTEM_SQ, parse_expression
 from rightq.cli import main
+from rightq.laurent import ONE, Q
 
 
 def run(capsys, *argv):
@@ -255,6 +257,45 @@ def test_check_principle(capsys):
     assert table["failures"] == "0"
 
 
+def test_check_principle_memory_does_not_grow_with_r(capsys):
+    # Each member is drawn from one random reducible biword, so no list
+    # of the r^4 length-2 biwords (810,000 at r = 30) is built.
+    argv = ["check", "principle", "--r", "30", "--trials", "20", "--seed", "0"]
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert kv(out)["failures"] == "0"
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{True: ((1, 0, ONE),)}, {False: ((1, 1, ONE), (1, 0, Q), (0, 1, -Q))}],
+    ids=["swap-q-as-1", "split-q-inverse-as-q"],
+)
+def test_check_principle_fails_on_a_wrong_weighted_table(capsys, monkeypatch, change):
+    # The memo is keyed by SYSTEM_SQ itself, so its normal forms under the
+    # real table must not reach this test, nor the wrong ones leave it.
+    rules = {**rightq.rewrite._RULES, **change}
+    monkeypatch.setattr(rightq.rewrite, "_RULES", rules)
+    wrong = rightq.rewrite.ReductionSystem("sq")
+    monkeypatch.setattr(SYSTEM_SQ, "stencil", wrong.stencil)
+    rightq.rewrite.clear_caches()
+    try:
+        code, out, _ = run(
+            capsys, "check", "principle", "--r", "2", "--trials", "200", "--seed", "0"
+        )
+    finally:
+        rightq.rewrite.clear_caches()
+    assert code == 1
+    assert int(kv(out)["failures"]) > 0
+    assert kv(out)["ok"] == "false"
+
+
 def test_verbose_notes_go_to_stderr_only(capsys, monkeypatch):
     argv = ["check", "principle", "--r", "2", "--trials", "100", "--seed", "1"]
     monkeypatch.delenv("RIGHTQ_VERBOSE", raising=False)
@@ -367,6 +408,32 @@ def test_unwritable_report_is_refused_before_the_check(
     assert out == ""
     assert err.startswith("error: ")
     assert rightq.rewrite.measure_check_count() == before
+
+
+@pytest.mark.parametrize(
+    "form", [["--report", ""], ["--report="]], ids=["space", "equals"]
+)
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["qmm", "--r", "2", "--max-degree", "2"], "qmm_check"),
+        (["basis", "--r", "2", "--degree", "2"], "check_basis_dimension"),
+    ],
+    ids=["qmm", "basis"],
+)
+def test_empty_report_path_is_refused_before_the_check(
+    capsys, monkeypatch, tmp_path, argv, check, form
+):
+    def no_check(*args):
+        raise AssertionError(f"{check} ran")
+
+    monkeypatch.setattr(rightq.cli, check, no_check)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, *form)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the --report path is empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_of_a_stopped_check_leaves_no_file(capsys, monkeypatch, tmp_path):

@@ -378,6 +378,40 @@ def test_each_reduction_holds_one_content_block(monkeypatch):
     assert max(peaks) == 252
 
 
+@pytest.mark.parametrize(
+    "r, max_degree, variant, reductions, shapes",
+    [(4, 6, "strong", 210, 51), (3, 5, "q", 56, 21)],
+)
+def test_each_block_matches_its_compositions_block(
+    monkeypatch, r, max_degree, variant, reductions, shapes
+):
+    # A rule compares letters within a row only, so an order-preserving
+    # relabeling of the letters maps rules to rules: a block's terms,
+    # steps and peak depend only on its composition, the multiplicities
+    # of its content's letters in letter order.  Blocks of one letter
+    # cancel before the reduction, so they have no content to key by.
+    original = macmahon._reduce_rows
+    by_shape = {}
+    calls = 0
+
+    def record(work, *args):
+        nonlocal calls
+        calls += 1
+        content = next(iter(work), ((), ()))[0]
+        terms = len(work)
+        steps, peak, trace = original(work, *args)
+        if terms:
+            shape = tuple(content.count(x) for x in sorted(set(content)))
+            by_shape.setdefault(shape, set()).add((terms, steps, peak))
+        return steps, peak, trace
+
+    monkeypatch.setattr(macmahon, "_reduce_rows", record)
+    assert qmm_check(r, max_degree, variant).ok
+    assert calls == reductions
+    assert len(by_shape) == shapes
+    assert all(len(triples) == 1 for triples in by_shape.values())
+
+
 def test_term_cap_bounds_each_block(monkeypatch):
     # Both series are larger than any block, so lift the series cap to
     # reach the reduction; the largest block of r=4, D=5 peaks at 252.

@@ -10,6 +10,7 @@ A rule table that is wrong in a mirror-symmetric way passes these checks.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -24,9 +25,11 @@ from rightq import (
     enumerate_biwords,
     ferm,
     qmm_check,
+    rank,
     reduce,
     reduce_biword,
 )
+from rightq.basis_oracle import _blocks, _relation_blocks
 
 # (alphabet size, longest length): 12,842 biwords in all
 _CASES = [(2, 6), (3, 4)]
@@ -90,3 +93,18 @@ def test_bos_times_ferm_is_one_in_the_mirrored_steps(r, max_degree, variant):
         target = Expression.unit() if row.degree == 0 else Expression.zero()
         assert report.normal_form == target
         assert report.rewrite_steps == row.rewrite_steps
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 5)], ids=["1", "3/5"])
+@pytest.mark.parametrize(
+    "r, n", [(2, n) for n in range(8)] + [(3, n) for n in range(5)]
+)
+def test_each_basis_block_has_its_mirrors_rank(r, n, q):
+    # rho maps the block of contents (alpha, beta) onto the block of
+    # (alpha reversed, beta reversed), relation rows onto relation rows.
+    ranks = {
+        (alpha, beta): rank(rows)
+        for alpha, beta, _, rows in _relation_blocks(*_blocks(r, n), q)
+    }
+    for (alpha, beta), block_rank in ranks.items():
+        assert ranks[alpha[::-1], beta[::-1]] == block_rank
