@@ -18,8 +18,24 @@ budget, then walks the blocks lazily.  Nothing is lost: eliminating a
 row only ever subtracts pivot rows that share its pivot column, hence
 its block, so the whole matrix's elimination never mixes blocks.
 relation_matrix lists the rows block by block in the order the blocks
-are ranked, so ranking it whole does the blocked elimination step for
+are walked, so ranking it whole does the blocked elimination step for
 step: the same fill-in and the same rank.
+
+check_basis_dimension ranks one block of each mirror pair.  The mirror
+rho reverses both rows of a biword and replaces each letter x by
+r + 1 - x.  It maps a double descent at position i of a length-n biword
+onto one at position n - 2 - i, with equal bottom letters kept equal,
+and the relation row placed there onto the row placed at the image,
+entry for entry: the term with the top swapped or not and the bottom
+swapped or not goes to the term swapped in the same way, with the same
+coefficient.  So rho maps the rows of block (alpha, beta) onto those of
+block (alpha reversed, beta reversed) by a column permutation, which
+keeps the rank.  This uses only the shape of the stencil, (top swapped,
+bottom swapped, coefficient), never its values, so it holds at every q
+and for any table of that shape, a wrong one included.  Each block's
+codimension is still compared with its own closed form, and the brute
+count still enumerates the whole degree; relation_matrix and
+spanning_rank still walk every block.
 
 Rows at a rational evaluation point q = p/s are scaled by p*s (and the
 two-term rows by s) to clear denominators; row scaling leaves the rank
@@ -326,19 +342,28 @@ def check_basis_dimension(
     The codimension is summed over content blocks, each ranked on its
     own.  match requires it to equal the brute irreducible count, and
     every block's codimension to equal the block's closed form.
+
+    Only one block of each mirror pair is built and ranked: the one with
+    (alpha, beta) <= (alpha reversed, beta reversed).  Its rank counts
+    for both blocks, since the mirror (reverse both rows, x -> r + 1 - x)
+    maps each block's relation rows onto its partner's with the same
+    coefficients, whatever the rule table's values.  Each block's
+    codimension is still compared with its own closed form.
     """
-    walk = _blocks(r, n, budget)
+    *walk, blocks = _blocks(r, n, budget)
     q = _as_q(q_value)
     ambient = r ** (2 * n)
+    ranked = (b for b in blocks if b[:2] <= (b[0][::-1], b[1][::-1]))
     relation_rank = closed_form = 0
     blocks_agree = True
     memo: dict = {}
-    for alpha, beta, columns, rows in _relation_blocks(*walk, q):
+    for alpha, beta, columns, rows in _relation_blocks(*walk, ranked, q):
         block_rank = rank(rows)
-        expected = _closed_form(alpha, beta, memo)
-        relation_rank += block_rank
-        closed_form += expected
-        blocks_agree = blocks_agree and columns - block_rank == expected
+        for pair in {(alpha, beta), (alpha[::-1], beta[::-1])}:
+            expected = _closed_form(*pair, memo)
+            relation_rank += block_rank
+            closed_form += expected
+            blocks_agree = blocks_agree and columns - block_rank == expected
     quotient = ambient - relation_rank
     irreducible = count_irreducible(r, n)
     return DimensionReport(

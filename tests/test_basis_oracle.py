@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -447,6 +448,9 @@ def test_closed_form_lists_each_coefficients_lower_terms_once(monkeypatch):
         {((1, 2), (2, 1)): 1},
         # the total still agrees, but two blocks do not
         {((1, 2), (2, 1)): 1, ((2, 1), (1, 2)): -1},
+        # the mirror of the first case: one block of the pair is ranked
+        # and the other is not, and each has its closed form compared
+        {((2, 1), (1, 2)): 1},
     ],
 )
 def test_closed_form_disagreement_breaks_match(monkeypatch, shifts):
@@ -460,3 +464,33 @@ def test_closed_form_disagreement_breaks_match(monkeypatch, shifts):
     assert report.quotient_dim == report.irreducible_count == 40
     assert report.closed_form_count == 40 + sum(shifts.values())
     assert not report.match
+
+
+@pytest.mark.parametrize("r, n, calls", [(2, 3, 8), (3, 3, 52), (3, 4, 117)])
+def test_check_basis_dimension_ranks_once_per_mirror_pair(monkeypatch, r, n, calls):
+    # 16 blocks, none self-mirror; 100 blocks, 4 of them self-mirror;
+    # 225 blocks, 9 of them self-mirror.
+    whole = rank(relation_matrix(r, n), _measure_priority(r, n))
+    ranked = []
+    block_rank = basis_oracle.rank
+
+    def counted(rows, priority=None):
+        ranked.append(len(rows))
+        return block_rank(rows, priority)
+
+    monkeypatch.setattr(basis_oracle, "rank", counted)
+    report = check_basis_dimension(r, n)
+    assert len(ranked) == calls
+    assert report.relation_rank == whole
+    assert report.match
+
+
+@pytest.mark.parametrize("r, n", [(2, 4), (3, 3)])
+def test_whole_degree_paths_walk_every_block(r, n):
+    # Only check_basis_dimension ranks one block per mirror pair.
+    rightq.rewrite.clear_caches()
+    spanning_rank(r, n)
+    memo = rightq.rewrite._NF_CACHES[SYSTEM_S]
+    assert {(b.top, b.bottom) for b in enumerate_biwords(r, n)} <= memo.keys()
+    pairs = math.comb(r, 2) * math.comb(r + 1, 2)
+    assert len(relation_matrix(r, n)) == (n - 1) * pairs * r ** (2 * (n - 2))
