@@ -284,15 +284,14 @@ def _measure_priority(r: int, n: int) -> list[int]:
 def _lower_terms(top: tuple[int, ...], bottom: tuple[int, ...]):
     """(sign, (top', bottom')) for each term of (1 - D) F at x^top y^bottom."""
     support = [x for x, a in enumerate(top) if a]
+    held = [y for y, b in enumerate(bottom) if b]
     for k in range(1, len(support) + 1):
         sign = 1 if k % 2 else -1
         for subset in itertools.combinations(support, k):
             # tuple() of a list, not of a generator: the generator form
             # raised the traced peak of r = 2, n = 8 by about 0.1 MB.
             lower_top = tuple([a - subset.count(x) for x, a in enumerate(top)])
-            for multiset in itertools.combinations_with_replacement(
-                range(len(bottom)), k
-            ):
+            for multiset in itertools.combinations_with_replacement(held, k):
                 lower = tuple([b - multiset.count(y) for y, b in enumerate(bottom)])
                 if min(lower) >= 0:
                     yield sign, (lower_top, lower)

@@ -18,11 +18,12 @@ Every replacement strictly lowers the measure imv(bottom) + inv(top):
 the three branches above drop it by exactly 2, 1, 1 and the swap branch
 by 1.  A replacement only swaps letters within a row of the pair, so the
 drop is the same in every context: each system computes it once from the
-bare pair, and a child's measure is its parent's less that drop.  The
-engine checks the drop on every rewrite and treats a violation as
-internal corruption.  Under "s" the memo holds ints and constant inputs
-are lowered to ints once, so all plain arithmetic is on ints; Laurent
-values appear only in the expressions returned.
+bare pair, and the kernel returns it with each child.  The kernel checks
+that every drop is positive and treats a violation as internal
+corruption; only the worklist turns drops into levels.  Under "s" the
+memo holds ints and constant inputs are lowered to ints once, so all
+plain arithmetic is on ints; Laurent values appear only in the
+expressions returned.
 
 reduce() runs a worklist over whole expressions, keyed by each biword's
 plain (top, bottom) pair of tuples, whose hashing and comparison run in
@@ -32,8 +33,9 @@ from the highest bucket down; since every new term lands strictly
 lower, each distinct biword is rewritten at most once per call and its
 coefficient is final when its turn comes.  Each pending pair carries its
 double-descent mask (bit i for columns i, i + 1): a rewrite at position
-p changes columns p and p + 1 only, so a child's mask is its parent's
-with bits p - 1, p and p + 1 recomputed, and the leftmost spot is the
+p changes columns p and p + 1 only, and bit p of a child is clear exactly
+when its drop is positive, so a child's mask is its parent's with bit p
+cleared and bits p - 1 and p + 1 recomputed.  The leftmost spot is the
 lowest set bit.  Input measures come from inv and imv tables over the
 call's distinct top and bottom words.  Each bucket is sorted by
 words.row_key: the order within a level changes no coefficient, but
@@ -186,15 +188,16 @@ def measure_check_count() -> int:
 
 
 def _expand_rows(
-    rows: Rows, mask: int, pos0: int, system: ReductionSystem, parent_level: int
+    rows: Rows, mask: int, pos0: int, system: ReductionSystem
 ) -> list[tuple[Rows, int, "Laurent | int", int]]:
     """Apply the local rule at 0-based position pos0 of rows = (top, bottom).
 
     mask is the parent's double-descent mask.  Returns [(child rows, child
-    mask, rule coefficient, child measure), ...], verifying the strict
-    measure drop for every child.  The rule rewrites columns pos0 and
-    pos0 + 1 only, so a child's mask differs from its parent's at most in
-    bits pos0 - 1, pos0 and pos0 + 1, and only those are recomputed.
+    mask, rule coefficient, measure drop), ...], verifying that every drop
+    is positive.  The rule rewrites columns pos0 and pos0 + 1 only, and
+    the replacement is a double descent exactly when its drop is not
+    positive; so a child's bit pos0 is clear, and only its bits pos0 - 1
+    and pos0 + 1 are recomputed.
     """
     global _measure_checks
     top, bottom = rows
@@ -215,22 +218,19 @@ def _expand_rows(
     out = []
     for ti, bi, coeff, drop in system.stencil[a == b]:
         (t0, t1), (b0, b1) = tops[ti], bottoms[bi]
+        child = head_t + tops[ti] + tail_t, head_b + bottoms[bi] + tail_b
+        _measure_checks += 1
+        if drop <= 0:
+            raise AssertionError(
+                f"measure failed to drop: {format_word_pair(top, bottom)} -> "
+                f"{format_word_pair(*child)} (drop {drop})"
+            )
         child_mask = kept
         if left_t > t0 and left_b >= b0:
             child_mask |= bit >> 1
-        if t0 > t1 and b0 >= b1:
-            child_mask |= bit
         if tail_t and t1 > tail_t[0] and b1 >= tail_b[0]:
             child_mask |= bit << 1
-        child = head_t + tops[ti] + tail_t, head_b + bottoms[bi] + tail_b
-        level = parent_level - drop
-        _measure_checks += 1
-        if level >= parent_level:
-            raise AssertionError(
-                f"measure failed to drop: {format_word_pair(top, bottom)} -> "
-                f"{format_word_pair(*child)} ({parent_level} -> {level})"
-            )
-        out.append((child, child_mask, coeff, level))
+        out.append((child, child_mask, coeff, drop))
     return out
 
 
@@ -241,9 +241,7 @@ def rewrite_at(bw: Biword, position: int, system: ReductionSystem) -> Expression
             f"position {position} is not interior to {bw}"
         )
     rows = bw.top, bw.bottom
-    children = _expand_rows(
-        rows, _descent_mask(*rows), position - 1, system, bw.inv_plus()
-    )
+    children = _expand_rows(rows, _descent_mask(*rows), position - 1, system)
     return Expression._make({child: coeff for child, _, coeff, _ in children})
 
 
@@ -300,18 +298,18 @@ def _reduce_rows(
                 continue  # earlier contributions cancelled
             mask = bucket[rows]
             pos0 = _choose(strategy, mask, rng)
-            children = _expand_rows(rows, mask, pos0, system, level)
+            children = _expand_rows(rows, mask, pos0, system)
             steps += 1
             if trace is not None:
                 kind = "swap" if rows[1][pos0] == rows[1][pos0 + 1] else "split"
                 trace.append(TraceStep(Biword._make(*rows), pos0 + 1, kind))
-            for child, child_mask, coeff, child_level in children:
+            for child, child_mask, coeff, drop in children:
                 s = work.get(child)
                 s = c * coeff if s is None else s + c * coeff
                 if s:
                     work[child] = s
                     if child_mask:
-                        buckets.setdefault(child_level, {})[child] = child_mask
+                        buckets.setdefault(level - drop, {})[child] = child_mask
                 else:
                     work.pop(child, None)
             if len(work) > term_cap:
@@ -372,10 +370,10 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
     memo = _NF_CACHES.setdefault(system, {})
     if rows not in memo:
         one = system.one
-        # Entries as _expand_rows makes them: (rows, mask, coefficient, level).
+        # Entries as _expand_rows makes them: (rows, mask, coefficient, drop).
         # An expanded entry goes back as (rows, children) below its children;
         # they lie strictly lower, so all are in memo when it is on top again.
-        stack = [(rows, _descent_mask(*rows), one, inv(rows[0]) + imv(rows[1]))]
+        stack = [(rows, _descent_mask(*rows), one, 0)]
         while stack:
             entry = stack.pop()
             if len(entry) == 2:
@@ -392,10 +390,10 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
                     _within_cap(result)
                 memo[cur] = result
             elif entry[0] not in memo:
-                cur, mask, _, level = entry
+                cur, mask, _, _ = entry
                 if mask:
                     pos0 = (mask & -mask).bit_length() - 1
-                    children = _expand_rows(cur, mask, pos0, system, level)
+                    children = _expand_rows(cur, mask, pos0, system)
                     stack.append((cur, children))
                     stack += children
                 else:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -221,6 +222,15 @@ def test_one_letter_at_a_high_degree():
     assert report.quotient_dim == report.irreducible_count == 1
     assert report.closed_form_count == 1
     assert report.match
+
+
+def test_many_letters_at_degree_one_within_a_wall_budget():
+    # 40,000 columns; the closed form of each block recurses over the
+    # letters the block holds, not over all 200.
+    start = time.perf_counter()
+    assert check_basis_dimension(200, 1).match
+    elapsed = time.perf_counter() - start
+    assert elapsed <= 30.0, f"over budget: {elapsed:.2f}s > 30s"
 
 
 def test_dimension_report_rational_points():

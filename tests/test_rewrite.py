@@ -297,12 +297,10 @@ def test_local_measure_drop_matches_full_recount(b):
     for system in (SYSTEM_S, SYSTEM_SQ):
         for position in b.double_descents():
             before = rightq.rewrite.measure_check_count()
-            children = rightq.rewrite._expand_rows(
-                rows, mask, position - 1, system, b.inv_plus()
-            )
+            children = rightq.rewrite._expand_rows(rows, mask, position - 1, system)
             assert rightq.rewrite.measure_check_count() - before == len(children)
-            for child_rows, _, _, level in children:
-                assert level == Biword(*child_rows).inv_plus()
+            for child_rows, _, _, drop in children:
+                assert b.inv_plus() - drop == Biword(*child_rows).inv_plus()
 
 
 def _spots(mask: int) -> tuple[int, ...]:
@@ -316,9 +314,7 @@ def test_carried_mask_matches_fresh_scan(b):
     assert _spots(mask) == b.double_descents()
     for system in (SYSTEM_S, SYSTEM_SQ):
         for position in b.double_descents():
-            children = rightq.rewrite._expand_rows(
-                rows, mask, position - 1, system, b.inv_plus()
-            )
+            children = rightq.rewrite._expand_rows(rows, mask, position - 1, system)
             for child_rows, child_mask, _, _ in children:
                 child = Biword(*child_rows)
                 assert _spots(child_mask) == child.double_descents()
@@ -334,12 +330,33 @@ def test_stencil_rejects_a_rule_that_keeps_the_measure(monkeypatch):
         True: [(1, 0, q(1), 1)],
         False: [(1, 1, q(0), 2), (1, 0, q(1), 1), (0, 1, q(-1, -1), 1)],
     }
-    # An entry that swaps nothing leaves the pair, and its measure, as it is.
-    monkeypatch.setattr(rightq.rewrite, "_RULES", {True: ((0, 0, q(0)),)})
-    kept = rightq.rewrite.ReductionSystem("s")
-    assert kept.stencil == {True: [(0, 0, 1, 0)]}
-    with pytest.raises(AssertionError, match="measure failed to drop"):
-        rewrite_at(bw("21/11"), 1, kept)
+    # An entry that swaps nothing, or only the equal bottom letters, leaves
+    # the pair, and its measure, as it is.
+    for ti, bi in ((0, 0), (0, 1)):
+        monkeypatch.setattr(rightq.rewrite, "_RULES", {True: ((ti, bi, q(0)),)})
+        kept = rightq.rewrite.ReductionSystem("s")
+        assert kept.stencil == {True: [(ti, bi, 1, 0)]}
+        with pytest.raises(AssertionError, match="measure failed to drop"):
+            rewrite_at(bw("21/11"), 1, kept)
+
+
+def test_memo_and_rewrite_at_count_no_inversions(monkeypatch):
+    # Only the worklist turns drops into levels; the leftmost memo and a
+    # single rewrite need no measure of the whole biword.
+    def refuse(*_):
+        raise AssertionError("measure recounted")
+
+    monkeypatch.setattr(rightq.rewrite, "inv", refuse)
+    monkeypatch.setattr(rightq.rewrite, "imv", refuse)
+    rightq.rewrite.clear_caches()
+    assert reduce_biword(bw("321/321"), SYSTEM_S) == ex(GOLDEN_15)
+    assert in_ideal(ex("21/11 - 12/11"), SYSTEM_S)
+    assert not in_ideal(ex("21/11"), SYSTEM_S)
+    monkeypatch.setattr(Biword, "inv_plus", refuse)
+    assert rewrite_at(bw("21/11"), 1, SYSTEM_S) == ex("12/11")
+    assert rewrite_at(bw("321/321"), 1, SYSTEM_S) == ex(
+        "231/231 + 231/321 - 321/231"
+    )
 
 
 def test_measure_check_counter_advances():
