@@ -14,7 +14,6 @@ from .basis_oracle import (
     count_irreducible,
     enumerate_biwords,
     rank,
-    reducible_pairs,
     relation_matrix,
     spanning_rank,
 )
@@ -26,7 +25,6 @@ from .macmahon import (
     bos,
     ferm,
     qmm_check,
-    strong_qmm_check,
 )
 from .rewrite import (
     DEFAULT_TERM_CAP,
@@ -60,7 +58,6 @@ from .textform import (
     ParseError,
     parse_biword,
     parse_expression,
-    print_biword,
     print_expression,
 )
 from .weight import (
@@ -74,11 +71,8 @@ from .words import (
     Biword,
     EMPTY_BIWORD,
     Word,
-    cross_inversions,
     imv,
     inv,
-    sorted_rearrangement,
-    validate_word,
 )
 
 __version__ = "0.1.0"
@@ -117,7 +111,6 @@ __all__ = [
     "check_principle",
     "clear_caches",
     "count_irreducible",
-    "cross_inversions",
     "enumerate_biwords",
     "ferm",
     "imv",
@@ -129,19 +122,14 @@ __all__ = [
     "parse_expression",
     "phi",
     "phi_inv",
-    "print_biword",
     "print_expression",
     "qmm_check",
     "random_strategy",
     "rank",
     "reduce",
     "reduce_biword",
-    "reducible_pairs",
     "relation_matrix",
     "rewrite_at",
-    "sorted_rearrangement",
     "spanning_rank",
-    "strong_qmm_check",
     "system_by_name",
-    "validate_word",
 ]

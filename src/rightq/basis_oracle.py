@@ -13,10 +13,11 @@ has multiplicities beta.  The oracle builds, ranks and discards one
 (alpha, beta) block at a time and sums the ranks, so memory follows the
 largest block (4,900 of the 65,536 columns for r = 2, n = 8), not the
 whole matrix.  relation_matrix, check_basis_dimension and spanning_rank
-all enter through _blocks, which checks r, the degree and the column
-budget, then walks the blocks lazily.  Nothing is lost: eliminating a
-row only ever subtracts pivot rows that share its pivot column, hence
-its block, so the whole matrix's elimination never mixes blocks.
+all enter through _blocks, which checks r, the degree and the one
+column budget, DEFAULT_BUDGET, then walks the blocks lazily.  Nothing
+is lost: eliminating a row only ever subtracts pivot rows that share
+its pivot column, hence its block, so the whole matrix's elimination
+never mixes blocks.
 relation_matrix lists the rows block by block in the order the blocks
 are walked, so ranking it whole does the blocked elimination step for
 step: the same fill-in and the same rank.
@@ -89,11 +90,6 @@ def count_irreducible(r: int, n: int) -> int:
     return sum(t * b for s, t in strict.items() for w, b in weak.items() if not s & w)
 
 
-def reducible_pairs(r: int) -> list[Biword]:
-    """The length-2 biwords carrying a double descent, in canonical order."""
-    return [bw for bw in enumerate_biwords(r, 2) if not bw.is_irreducible()]
-
-
 def _as_q(q_value) -> Fraction:
     if isinstance(q_value, (float, bool)):
         raise TypeError(
@@ -144,19 +140,20 @@ def _column_keys(r: int, n: int) -> tuple[list[Word], list[int], list[int]]:
     return words, tops, bottoms
 
 
-def _blocks(r: int, n: int, budget: int = DEFAULT_BUDGET):
+def _blocks(r: int, n: int):
     """The oracle's one entry: words, their pivot-key shares and a block walk.
 
-    r, n and the column budget are checked before any work.  The walk
-    yields (alpha, beta, top indices, bottom indices) one block at a time.
+    r, n and the column budget DEFAULT_BUDGET are checked before any work.
+    The walk yields (alpha, beta, top indices, bottom indices) one block at
+    a time.
     """
     _at_least(1, r=r)
     _at_least(0, degree=n)
     ambient = r ** (2 * n)
-    if ambient > budget:
+    if ambient > DEFAULT_BUDGET:
         raise ValueError(
             f"degree {n} over alphabet 1..{r} needs {ambient} columns, "
-            f"over the budget of {budget}"
+            f"over the budget of {DEFAULT_BUDGET}"
         )
     words, tops, bottoms = _column_keys(r, n)
     classes: dict[tuple[int, ...], list[int]] = {}
@@ -333,9 +330,7 @@ class DimensionReport:
     closed_form_count: int = field(kw_only=True)
 
 
-def check_basis_dimension(
-    r: int, n: int, q_value="one", budget: int = DEFAULT_BUDGET
-) -> DimensionReport:
+def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     """Compare the relation-space codimension with two irreducible counts.
 
     The codimension is summed over content blocks, each ranked on its
@@ -349,7 +344,7 @@ def check_basis_dimension(
     coefficients, whatever the rule table's values.  Each block's
     codimension is still compared with its own closed form.
     """
-    *walk, blocks = _blocks(r, n, budget)
+    *walk, blocks = _blocks(r, n)
     q = _as_q(q_value)
     ambient = r ** (2 * n)
     ranked = (b for b in blocks if b[:2] <= (b[0][::-1], b[1][::-1]))

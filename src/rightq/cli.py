@@ -155,6 +155,7 @@ def _cmd_check_confluence(args) -> int:
     )
     _emit("system", report.system)
     _emit("trials", report.trials)
+    _emit("reducible", report.reducible)
     _emit("counterexamples", len(report.counterexamples))
     for bw in report.counterexamples[:20]:
         _emit("counterexample", bw)

@@ -169,18 +169,10 @@ class Expression:
         """True when every support biword is a circuit."""
         return all(sorted(t) == sorted(b) for t, b in self._terms)
 
-    def map_coefficients(self, fn) -> "Expression":
-        """Apply fn to every coefficient, dropping terms that become zero."""
-        out: dict[Rows, Laurent] = {}
-        for rows, c in self._terms.items():
-            nc = fn(c)
-            if nc:
-                out[rows] = nc
-        return Expression._make(out)
-
     def eval_at_one(self) -> "Expression":
-        """Specialize every coefficient at q = 1."""
-        return self.map_coefficients(lambda c: Laurent.integer(c.eval_at_one()))
+        """Specialize every coefficient at q = 1, dropping terms that vanish."""
+        values = ((rows, c.eval_at_one()) for rows, c in self._terms.items())
+        return Expression._make({rows: v for rows, v in values if v})
 
     def __str__(self) -> str:
         from .textform import print_expression

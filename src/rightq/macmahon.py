@@ -10,8 +10,10 @@ of both series is a circuit and every rule rearranges letters within a
 row, so each degree splits into independent blocks, one per content m
 (the coefficient of x^m in the identity): the checker builds and reduces
 one block at a time and never forms a whole degree component.  Nor does
-it build bos whole: the bos terms of one content are its distinct
-rearrangements, generated when a block first asks for them.
+it build either series whole: a block builds the ferm terms of each
+subset of its letters, the permutations of that subset, and the bos
+terms of one content are its distinct rearrangements, generated when a
+block first asks for them.
 """
 
 import itertools
@@ -39,15 +41,16 @@ def _series_weighted(variant: str) -> bool:
     return variant == "q"
 
 
-def _ferm_terms(r: int, max_len: int, weighted: bool):
-    """The ferm terms on subsets of at most max_len letters, by size."""
-    for size in range(min(r, max_len) + 1):
-        subset_sign = -1 if size % 2 else 1
-        for subset in itertools.combinations(range(1, r + 1), size):
-            for perm in itertools.permutations(subset):
-                k = inv(perm)
-                c = subset_sign * (-1 if k % 2 else 1)
-                yield (perm, subset), Laurent.q_power(-k, c) if weighted else c
+def _ferm_subset(subset: Word, weighted: bool) -> list:
+    """The ferm terms (perm / subset) of one sorted subset, permutations in
+    lexicographic order, with (-1)^|subset| (-q)^(-inv perm) or its q = 1 value."""
+    subset_sign = -1 if len(subset) % 2 else 1
+    terms = []
+    for perm in itertools.permutations(subset):
+        k = inv(perm)
+        c = subset_sign * (-1 if k % 2 else 1)
+        terms.append(((perm, subset), Laurent.q_power(-k, c) if weighted else c))
+    return terms
 
 
 def _bos_size(r: int, max_len: int) -> int:
@@ -82,10 +85,11 @@ def _bos_content(content: Word, weighted: bool) -> list:
 
 
 def _content_block(
-    content: Word, ferm_by_subset: dict, bos_of: Callable[[Word], list]
+    content: Word, weighted: bool, bos_of: Callable[[Word], list]
 ) -> dict:
     """The terms of ferm * bos whose rows have the given sorted content:
-    the sum over subsets J of its letters of ferm_J * bos_of(content - J)."""
+    the sum over subsets J of its letters, by size and then
+    lexicographically, of _ferm_subset(J) * bos_of(content - J)."""
     block: dict[Rows, "Laurent | int"] = {}
     letters = sorted(set(content))
     for size in range(len(letters) + 1):
@@ -93,7 +97,7 @@ def _content_block(
             rest = list(content)
             for letter in subset:
                 rest.remove(letter)
-            _add_products(block, ferm_by_subset[subset], bos_of(tuple(rest)))
+            _add_products(block, _ferm_subset(subset, weighted), bos_of(tuple(rest)))
     return block
 
 
@@ -105,7 +109,12 @@ def ferm(r: int, variant: str = "q") -> Expression:
     subset contributes the unit term.
     """
     _at_least(1, r=r)
-    return Expression._make(dict(_ferm_terms(r, r, _series_weighted(variant))))
+    weighted = _series_weighted(variant)
+    terms: dict[Rows, "Laurent | int"] = {}
+    for size in range(r + 1):
+        for subset in itertools.combinations(range(1, r + 1), size):
+            terms.update(_ferm_subset(subset, weighted))
+    return Expression._make(terms)
 
 
 def bos(r: int, max_len: int, variant: str = "q") -> Expression:
@@ -166,15 +175,15 @@ def qmm_check(
     terms and steps are the sums over its blocks, and its normal form
     is their union.  Series terms and blocks stay keyed by (top, bottom)
     rows, with int coefficients under the plain variants, from
-    construction through the reduction.  Only terms of at most
-    max_degree letters can reach a block, so ferm is built on such
-    subsets only, grouped by subset.  bos is never built whole: the bos
-    terms of a content are built when a block first asks for them and
-    kept only while a later degree may ask again, so contents of at most
-    r + 1 lengths are held.  Whole, bos would have sum r^n terms, no fewer
-    than ferm on at most max_degree letters, and that size alone decides
-    the refusal: if it exceeds term_cap, nothing is built.  term_cap
-    bounds each block.
+    construction through the reduction.  Neither series is built whole.
+    Each block builds the ferm terms of each subset of its letters and
+    drops them with the block, so ferm is held for one block at a time.
+    The bos terms of a content are built when a block first asks for
+    them and kept only while a later degree may ask again, so contents
+    of at most r + 1 lengths are held.  Whole, bos would have sum r^n
+    terms over n <= max_degree, and that size alone decides the refusal:
+    if it exceeds term_cap, nothing is built.  term_cap bounds each
+    block.
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree, term_cap=term_cap)
@@ -182,9 +191,6 @@ def qmm_check(
     system = SYSTEM_SQ if weighted else SYSTEM_S
     if _bos_size(r, max_degree) > term_cap:
         raise TermCapExceeded(f"series exceeded {term_cap} terms")
-    ferm_by_subset: dict[Word, list] = {}
-    for term in _ferm_terms(r, max_degree, weighted):
-        ferm_by_subset.setdefault(term[0][1], []).append(term)
     # A bos content is built when a block first asks for it and kept while
     # a later degree may ask again: content m serves degrees |m| to |m| + r,
     # and one of the top length serves one block only.
@@ -203,7 +209,7 @@ def qmm_check(
         terms = steps = 0
         reduced: dict[Rows, "Laurent | int"] = {}
         for content in itertools.combinations_with_replacement(range(1, r + 1), degree):
-            block = _content_block(content, ferm_by_subset, bos_of)
+            block = _content_block(content, weighted, bos_of)
             terms += len(block)
             block_steps, _, _ = _reduce_rows(block, system, LEFTMOST, False, term_cap)
             steps += block_steps
@@ -223,9 +229,3 @@ def qmm_check(
         )
     return QmmReport(r, max_degree, system.tag, variant, rows)
 
-
-def strong_qmm_check(
-    r: int, max_degree: int, term_cap: int = DEFAULT_TERM_CAP
-) -> QmmReport:
-    """The q = 1 product reduces to the unit itself, degree by degree."""
-    return qmm_check(r, max_degree, "strong", term_cap)

@@ -172,11 +172,13 @@ class ConfluenceReport:
     trials: int
     seed: int
     system: str
+    reducible: int = 0  # trials whose draw has a double descent
     counterexamples: list[Biword] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        """Some draw was rewritten, and every such normal form agreed."""
+        return self.reducible > 0 and not self.counterexamples
 
 
 _measure_checks = 0
@@ -401,16 +403,8 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
     return _within_cap(memo[rows])
 
 
-def reduce_biword(
-    bw: Biword, system: ReductionSystem, strategy: Strategy = LEFTMOST
-) -> Expression:
-    """Normal form of a single biword.
-
-    Only the leftmost strategy is memoized; the others run the worklist,
-    so that fuzzing exercises fresh rewrite paths.
-    """
-    if strategy.kind != "leftmost":
-        return reduce(Expression.single(bw), system, strategy).normal_form
+def reduce_biword(bw: Biword, system: ReductionSystem) -> Expression:
+    """Leftmost normal form of a single biword, read from the memo."""
     return Expression._make(_leftmost_nf((bw.top, bw.bottom), system))
 
 
@@ -469,6 +463,8 @@ def check_confluence_fuzz(
     report = ConfluenceReport(r, max_len, trials, seed, system.tag)
     for _ in range(trials):
         top, bottom = _random_rows(rng, r, max_len)
+        if _descent_mask(top, bottom):
+            report.reducible += 1
         canonical = _leftmost_nf((top, bottom), system)
         alt = {(top, bottom): 1}
         strategy = random_strategy(rng.getrandbits(32))

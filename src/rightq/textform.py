@@ -13,12 +13,13 @@ An int is a run of ASCII digits 0-9, and any character other than a
 token or ASCII whitespace is a ParseError.  An int is a coefficient
 unless a '/' follows it, when it is the top row of a digits biword.  In
 the digits form every digit is one letter, so it only covers letters
-1..9; the parenthesized form covers any letters.  'e' is the empty
-biword.  A term that stops after its coefficient is a multiple of 'e',
-so '0' is the zero expression.  The printer emits terms in canonical
-order (degree, then top word, then bottom word; exponents ascending
-inside one coefficient), never a unary minus, and always stays inside
-the grammar.
+1..9; the parenthesized form covers any letters.  A letter 0 is a
+LetterOutOfRange; there is no upper bound.  'e' is the empty biword.
+A term that stops after its coefficient is a multiple of 'e', so '0' is
+the zero expression.  A biword prints as str(bw), in the biword form
+above.  The expression printer emits terms in canonical order (degree,
+then top word, then bottom word; exponents ascending inside one
+coefficient), never a unary minus, and always stays inside the grammar.
 """
 
 import re
@@ -46,7 +47,7 @@ class LengthMismatch(ParseError):
 
 
 class LetterOutOfRange(ParseError):
-    """A letter is zero or exceeds the configured alphabet bound."""
+    """A letter is zero."""
 
 
 class _Token(NamedTuple):
@@ -73,9 +74,8 @@ def _lex(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, r: int | None):
+    def __init__(self, text: str):
         self.tokens = _lex(text)
-        self.r = r
         self.i = 0
 
     def peek(self) -> _Token:
@@ -102,9 +102,8 @@ class _Parser:
         return tok.kind == "sym" and tok.text == text
 
     def _letter(self, value: int, pos: int) -> int:
-        if value < 1 or (self.r is not None and value > self.r):
-            bound = f"1..{self.r}" if self.r is not None else "1.."
-            raise LetterOutOfRange(pos, f"a letter in {bound}", str(value))
+        if value < 1:
+            raise LetterOutOfRange(pos, "a letter in 1..", str(value))
         return value
 
     def _digit_word(self) -> tuple[int, ...]:
@@ -212,22 +211,18 @@ class _Parser:
             sign = 1 if tok.text == "+" else -1
 
 
-def parse_expression(text: str, r: int | None = None) -> Expression:
-    """Parse an expression, validating letters against r when given."""
-    return _Parser(text, r).expression()
+def parse_expression(text: str) -> Expression:
+    """Parse an expression."""
+    return _Parser(text).expression()
 
 
-def parse_biword(text: str, r: int | None = None) -> Biword:
+def parse_biword(text: str) -> Biword:
     """Parse a single biword literal."""
-    parser = _Parser(text, r)
+    parser = _Parser(text)
     rows = parser.biword()
     if parser.peek().kind != "end":
         raise parser.fail("end of input")
     return Biword._make(*rows)
-
-
-def print_biword(bw: Biword) -> str:
-    return format_word_pair(bw.top, bw.bottom)
 
 
 def print_expression(expr: Expression) -> str:

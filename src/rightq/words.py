@@ -5,9 +5,9 @@ words of equal length, viewed as a two-row array whose columns are read
 left to right; the top row is written over the bottom row.  Biwords
 multiply by concatenation and the empty biword is the unit.
 
-The alphabet bound r is configuration data held by whoever builds the
-words (parser, generators, enumeration); letters themselves are plain
-ints and are only checked against r where a bound is actually known.
+The alphabet bound r belongs to whoever generates words (random draws,
+enumeration, the series); letters themselves are plain ints, and a
+Biword or the parser checks only that each one is positive.
 """
 
 from collections.abc import Iterable, Sequence
@@ -65,35 +65,6 @@ def _descent_mask(top: Word, bottom: Word) -> int:
         if top[i] > top[i + 1] and bottom[i] >= bottom[i + 1]:
             mask |= 1 << i
     return mask
-
-
-def cross_inversions(u: Sequence[int], v: Sequence[int]) -> int:
-    """Number of pairs (x, y) with x a letter of u, y a letter of v and x > y.
-
-    Counts letter occurrences, so repeated letters contribute repeatedly:
-
-    >>> cross_inversions((2, 1), (1, 2))
-    1
-    >>> cross_inversions((2, 2), (1, 1))
-    4
-    """
-    return sum(1 for x in u for y in v if x > y)
-
-
-def sorted_rearrangement(word: Sequence[int]) -> Word:
-    """The nondecreasing rearrangement of a word.
-
-    >>> sorted_rearrangement((2, 1, 2))
-    (1, 2, 2)
-    """
-    return tuple(sorted(word))
-
-
-def validate_word(word: Iterable[int], r: int) -> None:
-    """Raise ValueError unless every letter lies in 1..r."""
-    for x in word:
-        if not 1 <= x <= r:
-            raise ValueError(f"letter {x} outside alphabet 1..{r}")
 
 
 def _at_least(least: int, **values: int) -> None:

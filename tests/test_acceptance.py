@@ -21,6 +21,7 @@ from rightq import (
     check_ambiguity,
     check_basis_dimension,
     check_confluence_fuzz,
+    enumerate_biwords,
     ferm,
     in_ideal,
     measure_check_count,
@@ -30,10 +31,8 @@ from rightq import (
     print_expression,
     qmm_check,
     reduce_biword,
-    reducible_pairs,
     rewrite_at,
     spanning_rank,
-    strong_qmm_check,
 )
 from rightq.cli import main
 
@@ -180,7 +179,7 @@ def test_07_spanning_cross_check(capsys):
 def test_08_master_identity_strong(capsys):
     def body():
         for r, max_degree in ((2, 6), (3, 4)):
-            report = strong_qmm_check(r, max_degree)
+            report = qmm_check(r, max_degree, "strong")
             assert [row.ok for row in report.per_degree] == [True] * (max_degree + 1)
             assert report.ok
 
@@ -201,7 +200,7 @@ def test_09_master_identity_weighted(capsys):
 def test_10_membership_transport(capsys):
     def body():
         rng = random.Random(10)
-        pairs = reducible_pairs(3)
+        pairs = [bw for bw in enumerate_biwords(3, 2) if not bw.is_irreducible()]
 
         def rand_word(n: int) -> tuple:
             return tuple(rng.randint(1, 3) for _ in range(n))

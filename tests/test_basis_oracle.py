@@ -14,7 +14,6 @@ from hypothesis import given
 import rightq.rewrite
 from rightq import basis_oracle
 from rightq import (
-    Biword,
     Expression,
     SYSTEM_S,
     SYSTEM_SQ,
@@ -25,7 +24,6 @@ from rightq import (
     rank,
     reduce,
     reduce_biword,
-    reducible_pairs,
     relation_matrix,
     spanning_rank,
 )
@@ -74,21 +72,6 @@ def test_enumerate_biwords():
     assert all(len(bw) == 2 for bw in biwords)
     tops = [bw.top for bw in biwords]
     assert tops == sorted(tops)
-
-
-def test_reducible_pairs():
-    pairs = reducible_pairs(2)
-    assert [str(p) for p in pairs] == ["21/11", "21/21", "21/22"]
-    assert len(reducible_pairs(3)) == 18
-    assert all(not p.is_irreducible() for p in reducible_pairs(4))
-    for r in range(1, 5):
-        assert reducible_pairs(r) == [
-            Biword((x, y), (a, b))
-            for x in range(1, r + 1)
-            for y in range(1, x)
-            for a in range(1, r + 1)
-            for b in range(1, a + 1)
-        ]
 
 
 def test_relation_matrix_smallest_case():
@@ -243,8 +226,6 @@ def test_dimension_report_rational_points():
 def test_budget_guard():
     with pytest.raises(ValueError):
         check_basis_dimension(2, 11)
-    with pytest.raises(ValueError):
-        check_basis_dimension(3, 3, budget=100)
 
 
 def test_spanning_rank_budget_guard():

@@ -243,8 +243,22 @@ def test_check_confluence(capsys):
     assert code == 0
     table = kv(out)
     assert table["trials"] == "25"
+    assert 0 < int(table["reducible"]) < 25
     assert table["counterexamples"] == "0"
     assert table["ok"] == "true"
+    keys = [line.split("\t")[0] for line in out.splitlines()]
+    assert keys[keys.index("trials") + 1] == "reducible"
+
+
+def test_check_confluence_without_a_reducible_draw_fails(capsys):
+    code, out, _ = run(
+        capsys, *_CONFLUENCE, "--r", "2", "--max-len", "2", "--trials", "1"
+    )
+    assert code == 1
+    table = kv(out)
+    assert table["reducible"] == "0"
+    assert table["counterexamples"] == "0"
+    assert table["ok"] == "false"
 
 
 def test_check_principle(capsys):

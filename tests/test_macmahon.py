@@ -23,7 +23,6 @@ from rightq import (
     phi,
     qmm_check,
     reduce,
-    strong_qmm_check,
 )
 
 
@@ -179,6 +178,18 @@ def test_qmm_memory_does_not_hold_bos():
     assert peak < 2_000_000
 
 
+def test_qmm_memory_does_not_hold_ferm():
+    # ferm on at most two of 150 letters has 22,501 terms; a block of two
+    # letters needs the ferm terms of four subsets, at most two each.
+    tracemalloc.start()
+    try:
+        assert qmm_check(150, 2, "strong").ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_variant_validation():
     with pytest.raises(ValueError):
         ferm(2, "weird")
@@ -218,7 +229,7 @@ def test_qmm_small_all_variants():
 
 
 def test_qmm_trivial_alphabet():
-    report = strong_qmm_check(1, 3)
+    report = qmm_check(1, 3, "strong")
     assert report.ok
     # every positive degree cancels before any rewriting happens
     assert all(row.rewrite_steps == 0 for row in report.per_degree)
@@ -269,7 +280,7 @@ def test_large_alphabet_builds_only_the_subsets_a_degree_reaches(variant):
 
 def test_strong_check_matches_plain_variant():
     direct = qmm_check(2, 4, "one")
-    strong = strong_qmm_check(2, 4)
+    strong = qmm_check(2, 4, "strong")
     assert strong.ok and direct.ok
     assert [r.normal_form for r in strong.per_degree] == [
         r.normal_form for r in direct.per_degree

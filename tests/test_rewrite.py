@@ -12,7 +12,6 @@ from rightq import (
     Biword,
     Expression,
     Laurent,
-    LEFTMOST,
     NotADoubleDescent,
     PreconditionViolation,
     RIGHTMOST,
@@ -236,7 +235,8 @@ def test_plain_results_carry_laurent_coefficients(e):
         results = [reduce(inp, SYSTEM_S).normal_form, normal_form(inp, SYSTEM_S)]
         for b in inp.support():
             results.append(reduce_biword(b, SYSTEM_S))
-            results.append(reduce_biword(b, SYSTEM_S, RIGHTMOST))
+            single = Expression.single(b)
+            results.append(reduce(single, SYSTEM_S, RIGHTMOST).normal_form)
             results += [rewrite_at(b, p, SYSTEM_S) for p in b.double_descents()]
         for result in results:
             assert all(type(c) is Laurent for _, c in result.terms())
@@ -376,9 +376,10 @@ def _all_biwords(r: int, max_len: int):
 def test_strategies_agree_exhaustively_small():
     for system in (SYSTEM_S, SYSTEM_SQ):
         for b in _all_biwords(2, 4):
-            canonical = reduce_biword(b, system, LEFTMOST)
-            assert reduce_biword(b, system, RIGHTMOST) == canonical
-            assert reduce_biword(b, system, random_strategy(99)) == canonical
+            canonical = reduce_biword(b, system)
+            single = Expression.single(b)
+            assert reduce(single, system, RIGHTMOST).normal_form == canonical
+            assert reduce(single, system, random_strategy(99)).normal_form == canonical
 
 
 def test_reduce_biword_memoization_is_stable():
@@ -511,7 +512,17 @@ def test_confluence_fuzz_small():
         report = check_confluence_fuzz(2, 4, 60, 1, system)
         assert report.ok
         assert report.trials == 60
+        assert 0 < report.reducible < 60
         assert report.counterexamples == []
+
+
+def test_confluence_fuzz_without_a_reducible_draw_is_not_ok():
+    # Seed 0 draws the one-column 2/1: nothing is rewritten, so nothing
+    # was compared.
+    report = check_confluence_fuzz(2, 2, 1, 0, SYSTEM_S)
+    assert report.reducible == 0
+    assert report.counterexamples == []
+    assert report.ok is False
 
 
 def test_term_cap_enforced():

@@ -13,7 +13,6 @@ from rightq import (
     ParseError,
     parse_biword,
     parse_expression,
-    print_biword,
     print_expression,
 )
 
@@ -28,15 +27,6 @@ def test_parse_biword_forms():
     assert parse_biword("(3,2,1)/(2,2,1)") == parse_biword("321/221")
     assert parse_biword("()/()") == EMPTY_BIWORD
     assert parse_biword(" 21 / 12 ") == Biword((2, 1), (1, 2))
-
-
-def test_parse_biword_respects_alphabet_bound():
-    assert parse_biword("21/12", r=2) == Biword((2, 1), (1, 2))
-    with pytest.raises(LetterOutOfRange) as info:
-        parse_biword("21/13", r=2)
-    assert info.value.position == 4
-    with pytest.raises(LetterOutOfRange):
-        parse_biword("(4)/(1)", r=3)
 
 
 def test_parse_biword_rejects_trailing_input():
@@ -136,7 +126,7 @@ def test_letter_out_of_range_positions():
         parse_expression("(0)/(1)")
     assert info.value.position == 1
     with pytest.raises(LetterOutOfRange) as info:
-        parse_expression("12/12 + 13/13", r=2)
+        parse_expression("12/12 + 10/13")
     assert info.value.position == 9
 
 
@@ -148,12 +138,6 @@ def test_error_payload_fields():
     assert "integer" in err.expected
     assert "*" in err.found
     assert "offset 2" in str(err)
-
-
-def test_print_biword():
-    assert print_biword(EMPTY_BIWORD) == "e"
-    assert print_biword(Biword((2, 1), (1, 2))) == "21/12"
-    assert print_biword(Biword((10, 2), (1, 10))) == "(10,2)/(1,10)"
 
 
 def test_print_expression_frozen():
