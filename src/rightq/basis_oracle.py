@@ -38,6 +38,25 @@ codimension is still compared with its own closed form, and the brute
 count still enumerates the whole degree; relation_matrix and
 spanning_rank still walk every block.
 
+check_basis_dimension also drops, in each block, the rows that linear
+algebra alone shows are redundant: the "disjoint ambiguities resolve
+trivially" step of Bergman's diamond lemma ("The diamond lemma for ring
+theory", 1978), used only to skip rows already in the span, never to
+assume the irreducible basis.  The rules at two double descents p0 and
+p' >= p0 + 2 of a biword w rearrange disjoint pairs of positions, so
+they commute, and row(w, p') - row(w, p0) is a combination of the rows
+at p' and at p0 of the terms of the two replacements, which lie in w's
+block at a lower measure.  By induction on the measure, each biword's
+rows at its leftmost double descent p0 and, if it is one, at p0 + 1
+span all of its rows.  In the double-descent mask m of a biword these
+are the bits m & ((m & -m) * 3).  At r = 2 no two double descents are
+adjacent (x > y > z needs three letters), so each reducible biword
+keeps one row, led by its own column: the kept rows are triangular and
+elimination reduces none of them.  At r >= 3 the work that can tell a
+wrong table from the right one is in the overlap rows, the pairs at
+p0 and p0 + 1.  Like the mirror pairing, this uses only the stencil's
+shape, so it holds at every q and for any table of that shape.
+
 Rows at a rational evaluation point q = p/s are scaled by p*s (and the
 two-term rows by s) to clear denominators; row scaling leaves the rank
 unchanged.  rank eliminates fraction-free on one copy of each input row,
@@ -167,20 +186,24 @@ def _blocks(r: int, n: int):
     return words, tops, bottoms, blocks
 
 
-def _relation_blocks(words, tops, bottoms, blocks, q: Fraction):
+def _relation_blocks(words, tops, bottoms, blocks, q: Fraction, pruned=False):
     """Yield (alpha, beta, columns, rows) for each block of _blocks in turn.
 
     columns is the number of biwords in the block.  rows are its
     relation rows, one per biword and double-descent position, with each
     column named by its pivot key, so that a row's pivot is its minimum.
+    If pruned, a biword keeps only the rows at its leftmost double descent
+    p0 and, if it is one too, at p0 + 1; the rows dropped lie in the span
+    of the rows kept (see check_basis_dimension).
     """
     stencil = _relation_stencil(q)
     index = {w: k for k, w in enumerate(words)}
 
-    def swaps(w: Word, weak: bool) -> dict[int, int]:
-        # Descent position i -> index of w with letters i and i + 1 swapped.
+    def swaps(w: Word, weak: bool) -> tuple[int, dict[int, int]]:
+        # The descent mask, and descent position i -> index of w with
+        # letters i and i + 1 swapped.
         mask = descent_mask(w, weak)
-        return {
+        return mask, {
             i: index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]]
             for i in range(len(w) - 1)
             if mask >> i & 1
@@ -191,12 +214,16 @@ def _relation_blocks(words, tops, bottoms, blocks, q: Fraction):
     for alpha, beta, top_class, bottom_class in blocks:
         rows = []
         for t in top_class:
+            top_mask, top_swaps = strict[t]
             for b in bottom_class:
-                bottom_swaps = weak[b]
-                for i, t2 in strict[t].items():
-                    b2 = bottom_swaps.get(i)
-                    if b2 is None:
+                bottom_mask, bottom_swaps = weak[b]
+                placed = top_mask & bottom_mask
+                if pruned:
+                    placed &= (placed & -placed) * 3
+                for i, t2 in top_swaps.items():
+                    if not placed >> i & 1:
                         continue
+                    b2 = bottom_swaps[i]
                     key_t = tops[t], tops[t2]
                     key_b = bottoms[b], bottoms[b2]
                     rows.append(
@@ -343,6 +370,26 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     maps each block's relation rows onto its partner's with the same
     coefficients, whatever the rule table's values.  Each block's
     codimension is still compared with its own closed form.
+
+    Within a block only some rows are built and ranked.  Write
+    row(w, p) = w - R_p(w) for the relation placed at a double descent
+    p of w, before its rows are scaled, where R_p(w) = sum_k c_k u_k is
+    the rule's replacement of the pair at p.  Let p0 be w's leftmost
+    double descent and p' >= p0 + 2 another.  The rules at p0 and p'
+    rearrange disjoint pairs of positions, so R_p' R_p0 w = R_p0 R_p' w,
+    which is the identity
+
+        row(w, p') - row(w, p0)
+            = sum_k c_k row(u_k, p') - sum_l c'_l row(v_l, p0)
+
+    with u_k, c_k the terms of R_p0(w) and v_l, c'_l those of R_p'(w).
+    Each u_k keeps the double descent at p', each v_l the one at p0,
+    and all lie in w's block at a lower measure than w.  By induction on
+    the measure, every row then lies in the span of the rows kept: the
+    one at p0, and the one at p0 + 1 when that is a double descent too.
+    So the kept rows have the rank of the whole block.  The argument
+    uses only the shape of the stencil, never its values, so like the
+    mirror it holds at every q and for a wrong table.
     """
     *walk, blocks = _blocks(r, n)
     q = _as_q(q_value)
@@ -351,7 +398,8 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     relation_rank = closed_form = 0
     blocks_agree = True
     memo: dict = {}
-    for alpha, beta, columns, rows in _relation_blocks(*walk, ranked, q):
+    kept = _relation_blocks(*walk, ranked, q, pruned=True)
+    for alpha, beta, columns, rows in kept:
         block_rank = rank(rows)
         for pair in {(alpha, beta), (alpha[::-1], beta[::-1])}:
             expected = _closed_form(*pair, memo)

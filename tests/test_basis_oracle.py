@@ -6,6 +6,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -27,7 +28,13 @@ from rightq import (
     relation_matrix,
     spanning_rank,
 )
-from rightq.basis_oracle import _closed_form, _measure_priority, _relation_stencil
+from rightq.basis_oracle import (
+    _blocks,
+    _closed_form,
+    _measure_priority,
+    _relation_blocks,
+    _relation_stencil,
+)
 from rightq.laurent import ONE, Q
 
 
@@ -373,25 +380,34 @@ def test_relation_stencil_clears_the_weighted_table(q):
     }
 
 
-@pytest.mark.parametrize(
-    "change, relation_rank",
-    [
-        ({True: ((1, 0, ONE),)}, 320),
-        ({False: ((1, 1, ONE), (1, 0, Q), (0, 1, -Q))}, 321),
-    ],
-    ids=["swap-q-as-1", "split-q-inverse-as-q"],
-)
-def test_a_wrong_weighted_table_fails_overlaps_and_rank(
-    monkeypatch, change, relation_rank
-):
-    # The oracle ranks the engine's own sq table, so a wrong rule there
-    # must show both as an unresolved overlap and as a wrong rank.
+_WRONG_RULES = {
+    "swap-q-as-1": {True: ((1, 0, ONE),)},
+    "split-q-inverse-as-q": {False: ((1, 1, ONE), (1, 0, Q), (0, 1, -Q))},
+}
+
+
+def use_wrong_rules(monkeypatch, change):
+    """Put the sq table with change applied in place of SYSTEM_SQ's; return it."""
     rules = {**rightq.rewrite._RULES, **change}
     monkeypatch.setattr(rightq.rewrite, "_RULES", rules)
     wrong = rightq.rewrite.ReductionSystem("sq")
+    monkeypatch.setattr(SYSTEM_SQ, "stencil", wrong.stencil)
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name, relation_rank",
+    [("swap-q-as-1", 320), ("split-q-inverse-as-q", 321)],
+    ids=["swap-q-as-1", "split-q-inverse-as-q"],
+)
+def test_a_wrong_weighted_table_fails_overlaps_and_rank(
+    monkeypatch, name, relation_rank
+):
+    # The oracle ranks the engine's own sq table, so a wrong rule there
+    # must show both as an unresolved overlap and as a wrong rank.
+    wrong = use_wrong_rules(monkeypatch, _WRONG_RULES[name])
     overlaps = itertools.combinations_with_replacement((3, 2, 1), 3)
     assert not all(check_ambiguity(3, 2, 1, *abc, wrong) for abc in overlaps)
-    monkeypatch.setattr(SYSTEM_SQ, "stencil", wrong.stencil)
     report = check_basis_dimension(3, 3, Fraction(3, 5))
     assert (report.relation_rank, report.irreducible_count) == (relation_rank, 415)
     assert not report.match
@@ -457,23 +473,139 @@ def test_closed_form_disagreement_breaks_match(monkeypatch, shifts):
     assert not report.match
 
 
-@pytest.mark.parametrize("r, n, calls", [(2, 3, 8), (3, 3, 52), (3, 4, 117)])
-def test_check_basis_dimension_ranks_once_per_mirror_pair(monkeypatch, r, n, calls):
+@pytest.mark.parametrize(
+    "r, n, calls, rows",
+    [(2, 3, 8, 12), (3, 3, 52, 174), (3, 4, 117, 2139), (2, 8, 41, 29978)],
+    ids=["2-3-8", "3-3-52", "3-4-117", "2-8-41"],
+)
+def test_check_basis_dimension_ranks_once_per_mirror_pair(
+    monkeypatch, r, n, calls, rows
+):
     # 16 blocks, none self-mirror; 100 blocks, 4 of them self-mirror;
-    # 225 blocks, 9 of them self-mirror.
+    # 225 blocks, 9 of them self-mirror; 81 blocks, 1 of them self-mirror.
+    # Only the rows at each biword's leftmost double descent and the one
+    # after it are ranked: 2,139 of the 2,313 rows of the ranked blocks
+    # at r = 3, n = 4, and 29,978 of 46,508 at r = 2, n = 8.
     whole = rank(relation_matrix(r, n), _measure_priority(r, n))
     ranked = []
     block_rank = basis_oracle.rank
 
     def counted(rows, priority=None):
-        ranked.append(len(rows))
-        return block_rank(rows, priority)
+        found = block_rank(rows, priority)
+        ranked.append((len(rows), found))
+        return found
 
     monkeypatch.setattr(basis_oracle, "rank", counted)
     report = check_basis_dimension(r, n)
     assert len(ranked) == calls
+    assert sum(size for size, _ in ranked) == rows
     assert report.relation_rank == whole
     assert report.match
+    if r == 2:
+        # No overlaps: every kept row is led by its own biword, a pivot.
+        assert all(size == found for size, found in ranked)
+
+
+def swapped(word, p):
+    return word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
+
+
+def relation_row(stencil, w, p):
+    """row(w, p) = w - R_p(w), as {(top, bottom): coefficient}.
+
+    The stencil's rows are cleared of denominators; dividing by the
+    pair's own coefficient gives the relation with w at coefficient 1.
+    """
+    top, bottom = w
+    entries = stencil[bottom[p] == bottom[p + 1]]
+    lead = entries[0][2]
+    row = {}
+    for ti, bi, c in entries:
+        key = swapped(top, p) if ti else top, swapped(bottom, p) if bi else bottom
+        row[key] = Fraction(c, lead)
+    return row
+
+
+def combine(*scaled_rows):
+    """sum of factor * row over (factor, row), without its zero entries."""
+    total = {}
+    for factor, row in scaled_rows:
+        for key, c in row.items():
+            total[key] = total.get(key, 0) + factor * c
+    return {key: c for key, c in total.items() if c}
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 5)])
+def test_rows_at_disjoint_double_descents_differ_by_lower_rows(q):
+    # For p' >= p0 + 2, with p0 the leftmost double descent of w:
+    # row(w, p') - row(w, p0)
+    #   = sum_k c_k row(u_k, p') - sum_l c'_l row(v_l, p0),
+    # where c_k u_k are the terms of R_p0(w) and c'_l v_l those of R_p'(w).
+    stencil = _relation_stencil(q)
+    dropped = 0
+    for n in range(5):
+        for bw in enumerate_biwords(3, n):
+            w = (bw.top, bw.bottom)
+            positions = [i - 1 for i in bw.double_descents()]
+            for p in positions[1:]:
+                p0 = positions[0]
+                if p < p0 + 2:
+                    continue
+                dropped += 1
+                at_p0 = relation_row(stencil, w, p0)
+                at_p = relation_row(stencil, w, p)
+                left = combine((1, at_p), (-1, at_p0))
+                # R_p(w) = w - row(w, p): its terms are row(w, p) negated, w left out.
+                r_p0 = [(u, -c) for u, c in at_p0.items() if u != w]
+                r_p = [(v, -c) for v, c in at_p.items() if v != w]
+                right = combine(
+                    *[(c, relation_row(stencil, u, p)) for u, c in r_p0],
+                    *[(-c, relation_row(stencil, v, p0)) for v, c in r_p],
+                )
+                assert left == right
+    assert dropped == 324
+
+
+def block_ranks(r, n, q, pruned):
+    return [
+        (alpha, beta, rank(rows))
+        for alpha, beta, _, rows in _relation_blocks(*_blocks(r, n), q, pruned)
+    ]
+
+
+_KEPT_CASES = [(3, n) for n in range(5)] + [(4, 3)]
+
+
+@pytest.mark.parametrize("q", [1, Fraction(3, 5), Fraction(-7, 2)])
+@pytest.mark.parametrize("r, n", _KEPT_CASES)
+def test_kept_rows_have_each_blocks_rank(r, n, q):
+    assert block_ranks(r, n, q, True) == block_ranks(r, n, q, False)
+
+
+@pytest.mark.parametrize("name", list(_WRONG_RULES))
+@pytest.mark.parametrize("r, n", _KEPT_CASES)
+def test_kept_rows_have_each_blocks_rank_under_a_wrong_table(
+    monkeypatch, r, n, name
+):
+    use_wrong_rules(monkeypatch, _WRONG_RULES[name])
+    q = Fraction(3, 5)
+    assert block_ranks(r, n, q, True) == block_ranks(r, n, q, False)
+
+
+# Integer tables of the stencil's shape; the pair's own coefficient is
+# never 0, as in the cleared rows of pair - replacement.
+_LEADS = st.integers(-6, 6).filter(bool)
+_COEFFICIENTS = st.integers(-6, 6)
+
+
+@given(_LEADS, _COEFFICIENTS, _LEADS, _COEFFICIENTS, _COEFFICIENTS, _COEFFICIENTS)
+def test_kept_rows_have_each_blocks_rank_under_any_table(a, b, c, d, e, f):
+    table = {
+        True: [(0, 0, a), (1, 0, b)],
+        False: [(0, 0, c), (1, 1, d), (1, 0, e), (0, 1, f)],
+    }
+    with mock.patch.object(basis_oracle, "_relation_stencil", lambda q: table):
+        assert block_ranks(3, 4, 1, True) == block_ranks(3, 4, 1, False)
 
 
 @pytest.mark.parametrize("r, n", [(2, 4), (3, 3)])
