@@ -45,10 +45,8 @@ from .rewrite import (
     clear_caches,
     in_ideal,
     measure_check_count,
-    normal_form,
     random_strategy,
     reduce,
-    reduce_biword,
     rewrite_at,
     system_by_name,
 )
@@ -117,7 +115,6 @@ __all__ = [
     "in_ideal",
     "inv",
     "measure_check_count",
-    "normal_form",
     "parse_biword",
     "parse_expression",
     "phi",
@@ -127,7 +124,6 @@ __all__ = [
     "random_strategy",
     "rank",
     "reduce",
-    "reduce_biword",
     "relation_matrix",
     "rewrite_at",
     "spanning_rank",

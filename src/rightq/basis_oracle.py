@@ -77,7 +77,7 @@ theorem").
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -353,8 +353,8 @@ class DimensionReport:
     quotient_dim: int
     irreducible_count: int
     match: bool
-    q_value: str = "1"
-    closed_form_count: int = field(kw_only=True)
+    q_value: str
+    closed_form_count: int
 
 
 def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:

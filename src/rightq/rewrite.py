@@ -40,12 +40,15 @@ lowest set bit.  Input measures come from inv and imv tables over the
 call's distinct top and bottom words.  Each bucket is sorted by
 words.row_key: the order within a level changes no coefficient, but
 it does change the peak term count, the trace and which biword draws
-each random choice.  reduce_biword() and normal_form() read one leftmost
-memo per ReductionSystem object (not per tag), keyed by rows, filled in
-one post-order pass through the same rewrite kernel and read through one
-reader that applies the term cap.  Its values are shared and read-only:
-a lone unit-coefficient child (the plain swap) lends its parent its dict.
-in_ideal() and the confluence fuzz compare row dicts, not Expressions.
+each random choice.  reduce() is the one public route to a normal form.
+Its batch readers, in_ideal(), the confluence fuzz and spanning_rank(),
+read one leftmost memo per ReductionSystem object (not per tag), keyed
+by rows, filled in one post-order pass through the same rewrite kernel
+and compared as row dicts.  It pays off over many related biwords; on
+one large one it stores many times the answer's terms, so one fill
+stores at most the term cap in total.  Its values are shared and
+read-only: a lone unit-coefficient child (the plain swap) lends its
+parent its dict.
 """
 
 import random
@@ -162,7 +165,7 @@ class ReductionReport:
     normal_form: Expression
     rewrite_steps: int
     max_intermediate_terms: int
-    trace: list[TraceStep] | None = None
+    trace: list[TraceStep] | None
 
 
 @dataclass
@@ -370,61 +373,56 @@ def _within_cap(terms: dict) -> dict:
 def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
     """Leftmost normal form of rows, held to the term cap; shared, read-only."""
     memo = _NF_CACHES.setdefault(system, {})
-    if rows not in memo:
-        one = system.one
-        # Entries as _expand_rows makes them: (rows, mask, coefficient, drop).
-        # An expanded entry goes back as (rows, children) below its children;
-        # they lie strictly lower, so all are in memo when it is on top again.
-        stack = [(rows, _descent_mask(*rows), one, 0)]
-        while stack:
-            entry = stack.pop()
-            if len(entry) == 2:
-                cur, children = entry
-                first, _, coeff, _ = children[0]
-                if coeff == one:
-                    # A unit first child starts the sum; a lone one is shared.
-                    result = memo[first] if len(children) == 1 else dict(memo[first])
-                    children = children[1:]
-                else:
-                    result = {}
-                for child, _, coeff, _ in children:
-                    _accumulate(result, memo[child], coeff)
-                    _within_cap(result)
-                memo[cur] = result
-            elif entry[0] not in memo:
-                cur, mask, _, _ = entry
-                if mask:
-                    pos0 = (mask & -mask).bit_length() - 1
-                    children = _expand_rows(cur, mask, pos0, system)
-                    stack.append((cur, children))
-                    stack += children
-                else:
-                    memo[cur] = {cur: one}
+    one = system.one
+    stored = 0
+    # Entries as _expand_rows makes them: (rows, mask, coefficient, drop).
+    # An expanded entry goes back as (rows, children) below its children;
+    # they lie strictly lower, so all are in memo when it is on top again.
+    stack = [] if rows in memo else [(rows, _descent_mask(*rows), one, 0)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 2:
+            cur, children = entry
+            first, _, coeff, _ = children[0]
+            if coeff == one:
+                # A unit first child starts the sum; a lone one is shared.
+                result = memo[first] if len(children) == 1 else dict(memo[first])
+                children = children[1:]
+            else:
+                result = {}
+            for child, _, coeff, _ in children:
+                _accumulate(result, memo[child], coeff)
+        elif entry[0] in memo:
+            continue
+        else:
+            cur, mask, _, _ = entry
+            if mask:
+                pos0 = (mask & -mask).bit_length() - 1
+                children = _expand_rows(cur, mask, pos0, system)
+                stack.append((cur, children))
+                stack += children
+                continue
+            result = {cur: one}
+        stored += len(result)
+        if stored > DEFAULT_TERM_CAP:
+            raise TermCapExceeded(
+                f"leftmost memo fill exceeded {DEFAULT_TERM_CAP} stored terms"
+            )
+        memo[cur] = result
     return _within_cap(memo[rows])
 
 
-def reduce_biword(bw: Biword, system: ReductionSystem) -> Expression:
-    """Leftmost normal form of a single biword, read from the memo."""
-    return Expression._make(_leftmost_nf((bw.top, bw.bottom), system))
+def in_ideal(expr: Expression, system: ReductionSystem) -> bool:
+    """Whether expr rewrites to zero, i.e. lies in the defining ideal.
 
-
-def _normal_rows(expr: Expression, system: ReductionSystem) -> dict:
-    """{(top, bottom): coefficient} of expr's normal form, from the memo."""
+    Reads the leftmost memo, built for many related expressions; for one
+    large expression, reduce() is cheaper.
+    """
     acc: dict[Rows, Laurent | int] = {}
     for rows, c in _lowered(expr._terms).items():
         _accumulate(acc, _leftmost_nf(rows, system), c)
         _within_cap(acc)
-    return acc
-
-
-def normal_form(expr: Expression, system: ReductionSystem) -> Expression:
-    """Normal form of an expression via the memoized per-biword map."""
-    return Expression._make(_normal_rows(expr, system))
-
-
-def in_ideal(expr: Expression, system: ReductionSystem) -> bool:
-    """Whether expr rewrites to zero, i.e. lies in the defining ideal."""
-    return not _normal_rows(expr, system)
+    return not acc
 
 
 def check_ambiguity(

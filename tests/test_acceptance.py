@@ -30,7 +30,7 @@ from rightq import (
     phi_inv,
     print_expression,
     qmm_check,
-    reduce_biword,
+    reduce,
     rewrite_at,
     spanning_rank,
 )
@@ -67,8 +67,8 @@ def test_01_golden_normal_form_15_terms(capsys):
     def body():
         golden = parse_expression(GOLDEN_15)
         assert len(golden) == 15
-        nf = reduce_biword(Biword((3, 2, 1), (3, 2, 1)), SYSTEM_S)
-        assert nf == golden
+        single = Expression.single(Biword((3, 2, 1), (3, 2, 1)))
+        assert reduce(single, SYSTEM_S).normal_form == golden
         assert main(["normalize", "321/321"]) == 0
         out = capsys.readouterr().out
         table = dict(line.split("\t", 1) for line in out.splitlines())
@@ -82,7 +82,8 @@ def test_02_golden_normal_form_5_terms(capsys):
     def body():
         golden = parse_expression(GOLDEN_5)
         assert len(golden) == 5
-        assert reduce_biword(Biword((3, 2, 1), (2, 2, 1)), SYSTEM_S) == golden
+        single = Expression.single(Biword((3, 2, 1), (2, 2, 1)))
+        assert reduce(single, SYSTEM_S).normal_form == golden
 
     _criterion(capsys, 2, "golden-normal-form-321/221", 1.0, body)
 

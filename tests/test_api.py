@@ -9,6 +9,8 @@ REMOVED = (
     "reducible_pairs",
     "strong_qmm_check",
     "print_biword",
+    "reduce_biword",
+    "normal_form",
 )
 
 

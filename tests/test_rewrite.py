@@ -23,7 +23,6 @@ from rightq import (
     check_confluence_fuzz,
     enumerate_biwords,
     in_ideal,
-    normal_form,
     parse_biword,
     parse_expression,
     phi,
@@ -31,7 +30,6 @@ from rightq import (
     qmm_check,
     random_strategy,
     reduce,
-    reduce_biword,
     rewrite_at,
     spanning_rank,
     system_by_name,
@@ -46,6 +44,11 @@ def bw(text: str) -> Biword:
 
 def ex(text: str) -> Expression:
     return parse_expression(text)
+
+
+def _leftmost(b: Biword, system) -> Expression:
+    """b's normal form as the leftmost memo holds it."""
+    return Expression._make(rightq.rewrite._leftmost_nf((b.top, b.bottom), system))
 
 
 def test_system_lookup():
@@ -205,7 +208,7 @@ def test_reduce_preserves_degree(e):
 @given(expressions())
 def test_worklist_and_memoized_paths_agree(e):
     for system in (SYSTEM_S, SYSTEM_SQ):
-        assert normal_form(e, system) == reduce(e, system).normal_form
+        assert in_ideal(e - reduce(e, system).normal_form, system)
 
 
 @given(expressions())
@@ -224,7 +227,7 @@ def test_conjugating_by_the_weight_swaps_systems(e):
 
 @given(biwords())
 def test_plain_normal_forms_have_integer_coefficients(b):
-    nf = reduce_biword(b, SYSTEM_S)
+    nf = reduce(Expression.single(b), SYSTEM_S).normal_form
     for _, coeff in nf.terms():
         assert all(exp == 0 for exp, _ in coeff.monomials())
 
@@ -232,10 +235,10 @@ def test_plain_normal_forms_have_integer_coefficients(b):
 @given(expressions())
 def test_plain_results_carry_laurent_coefficients(e):
     for inp in (e, e.eval_at_one()):
-        results = [reduce(inp, SYSTEM_S).normal_form, normal_form(inp, SYSTEM_S)]
+        results = [reduce(inp, SYSTEM_S).normal_form]
         for b in inp.support():
-            results.append(reduce_biword(b, SYSTEM_S))
             single = Expression.single(b)
+            results.append(reduce(single, SYSTEM_S).normal_form)
             results.append(reduce(single, SYSTEM_S, RIGHTMOST).normal_form)
             results += [rewrite_at(b, p, SYSTEM_S) for p in b.double_descents()]
         for result in results:
@@ -248,7 +251,7 @@ def test_plain_reduce_of_non_constant_input_scales_constant_forms():
     expected = nf_321.scale(Laurent.q_power(1)) + nf_21.scale(2)
     mixed = ex("q*321/321 + 2*21/11")
     assert reduce(mixed, SYSTEM_S).normal_form == expected
-    assert normal_form(mixed, SYSTEM_S) == expected
+    assert in_ideal(mixed - expected, SYSTEM_S)
 
 
 def _drops(b: Biword, position: int, system) -> list[int]:
@@ -349,7 +352,7 @@ def test_memo_and_rewrite_at_count_no_inversions(monkeypatch):
     monkeypatch.setattr(rightq.rewrite, "inv", refuse)
     monkeypatch.setattr(rightq.rewrite, "imv", refuse)
     rightq.rewrite.clear_caches()
-    assert reduce_biword(bw("321/321"), SYSTEM_S) == ex(GOLDEN_15)
+    assert _leftmost(bw("321/321"), SYSTEM_S) == ex(GOLDEN_15)
     assert in_ideal(ex("21/11 - 12/11"), SYSTEM_S)
     assert not in_ideal(ex("21/11"), SYSTEM_S)
     monkeypatch.setattr(Biword, "inv_plus", refuse)
@@ -376,19 +379,19 @@ def _all_biwords(r: int, max_len: int):
 def test_strategies_agree_exhaustively_small():
     for system in (SYSTEM_S, SYSTEM_SQ):
         for b in _all_biwords(2, 4):
-            canonical = reduce_biword(b, system)
+            canonical = _leftmost(b, system)
             single = Expression.single(b)
             assert reduce(single, system, RIGHTMOST).normal_form == canonical
             assert reduce(single, system, random_strategy(99)).normal_form == canonical
 
 
-def test_reduce_biword_memoization_is_stable():
+def test_leftmost_memo_is_stable():
     target = bw("321/321")
-    first = reduce_biword(target, SYSTEM_S)
-    second = reduce_biword(target, SYSTEM_S)
+    first = _leftmost(target, SYSTEM_S)
+    second = _leftmost(target, SYSTEM_S)
     assert first == second
     rightq.rewrite.clear_caches()
-    assert reduce_biword(target, SYSTEM_S) == first
+    assert _leftmost(target, SYSTEM_S) == first
 
 
 def test_memo_holds_exactly_the_leftmost_closure():
@@ -396,11 +399,11 @@ def test_memo_holds_exactly_the_leftmost_closure():
     # 13 reducible ones among them have 27 children between them.
     rightq.rewrite.clear_caches()
     before = rightq.rewrite.measure_check_count()
-    reduce_biword(bw("321/321"), SYSTEM_S)
+    _leftmost(bw("321/321"), SYSTEM_S)
     entries = sum(len(memo) for memo in rightq.rewrite._NF_CACHES.values())
     assert entries == 26
     assert rightq.rewrite.measure_check_count() - before == 27
-    reduce_biword(bw("321/321"), SYSTEM_S)
+    _leftmost(bw("321/321"), SYSTEM_S)
     assert rightq.rewrite.measure_check_count() - before == 27
 
 
@@ -413,9 +416,7 @@ def test_memo_paths_handle_long_swap_chain(system):
     single = Expression.single(_SWAP_CHAIN)
     expected = reduce(single, system).normal_form
     rightq.rewrite.clear_caches()
-    assert reduce_biword(_SWAP_CHAIN, system) == expected
-    rightq.rewrite.clear_caches()
-    assert normal_form(single, system) == expected
+    assert _leftmost(_SWAP_CHAIN, system) == expected
     rightq.rewrite.clear_caches()
     assert in_ideal(single - expected, system)
     assert not in_ideal(single, system)
@@ -423,11 +424,11 @@ def test_memo_paths_handle_long_swap_chain(system):
 
 def _memo_readers(system):
     alpha = bw("321/321")
-    reduce_biword(alpha, system)
-    normal_form(Expression.single(alpha, 3) - Expression.single(_SWAP_CHAIN), system)
+    _leftmost(alpha, system)
+    in_ideal(Expression.single(alpha, 3) - Expression.single(_SWAP_CHAIN), system)
     in_ideal(Expression.single(alpha) - rewrite_at(alpha, 1, system), system)
     in_ideal(Expression.single(_SWAP_CHAIN), system)
-    reduce_biword(_SWAP_CHAIN, system)
+    _leftmost(_SWAP_CHAIN, system)
     spanning_rank(2, 3)
     check_confluence_fuzz(2, 4, 60, 1, system)
 
@@ -442,8 +443,8 @@ def test_memo_readers_leave_shared_values_alone(system):
     # Memo values are shared between entries, so a reader that wrote into
     # one would corrupt the normal forms of other biwords as well.
     rightq.rewrite.clear_caches()
-    reduce_biword(bw("321/321"), system)
-    reduce_biword(_SWAP_CHAIN, system)
+    _leftmost(bw("321/321"), system)
+    _leftmost(_SWAP_CHAIN, system)
     memo = rightq.rewrite._NF_CACHES
     before = _snapshot(memo)
     _memo_readers(system)
@@ -551,17 +552,30 @@ def test_memo_paths_apply_the_term_cap(monkeypatch, warm):
     single = Expression.single(target)
     rightq.rewrite.clear_caches()
     if warm:
-        reduce_biword(target, SYSTEM_S)
+        _leftmost(target, SYSTEM_S)
     monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 5)
     with pytest.raises(TermCapExceeded):
-        reduce_biword(target, SYSTEM_S)
-    with pytest.raises(TermCapExceeded):
-        normal_form(single, SYSTEM_S)
+        _leftmost(target, SYSTEM_S)
     with pytest.raises(TermCapExceeded):
         in_ideal(single, SYSTEM_S)
     monkeypatch.undo()
     # An aborted fill leaves only complete normal forms behind.
-    assert reduce_biword(target, SYSTEM_S) == reduce(single, SYSTEM_S).normal_form
+    assert _leftmost(target, SYSTEM_S) == reduce(single, SYSTEM_S).normal_form
+
+
+def test_one_memo_fill_stores_at_most_the_term_cap(monkeypatch):
+    # Every normal form in the leftmost closure of 654321/654321 has at
+    # most 13,543 terms, but the closure stores 650,654 in all.
+    single = Expression.single(bw("654321/654321"))
+    rightq.rewrite.clear_caches()
+    monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 100_000)
+    with pytest.raises(TermCapExceeded, match="stored terms"):
+        in_ideal(single, SYSTEM_S)
+    stored = rightq.rewrite._NF_CACHES[SYSTEM_S].values()
+    assert sum(map(len, stored)) <= 100_000
+    rightq.rewrite.clear_caches()
+    report = reduce(single, SYSTEM_S, term_cap=100_000)
+    assert len(report.normal_form) == 13_543
 
 
 @pytest.mark.parametrize("system", [SYSTEM_S, SYSTEM_SQ], ids=["s", "sq"])
@@ -581,7 +595,7 @@ def test_memo_fill_does_not_depend_on_the_order(monkeypatch, system):
         expanded.clear()
         before = rightq.rewrite.measure_check_count()
         for b in order:
-            reduce_biword(b, system)
+            _leftmost(b, system)
         memo = rightq.rewrite._NF_CACHES[system]
         reducible = [rows for rows in memo if rightq.rewrite._descent_mask(*rows)]
         assert len(memo) == 1365
@@ -601,15 +615,14 @@ def test_a_table_with_the_same_tag_has_its_own_memo(monkeypatch, wrong_first):
     single = Expression.single(bw("321/211"))
     right_nf = reduce(single, SYSTEM_SQ).normal_form
     rightq.rewrite.clear_caches()
-    wrong_nf = reduce_biword(bw("321/211"), wrong)  # alone in the memo
+    wrong_nf = _leftmost(bw("321/211"), wrong)  # alone in the memo
     assert (len(right_nf), len(wrong_nf)) == (5, 7)  # biwords in each
     order = [(wrong, wrong_nf), (SYSTEM_SQ, right_nf)]
     if not wrong_first:
         order.reverse()
     rightq.rewrite.clear_caches()
     for system, expected in order:
-        assert reduce_biword(bw("321/211"), system) == expected
-        assert normal_form(single, system) == expected
+        assert _leftmost(bw("321/211"), system) == expected
         assert in_ideal(single - expected, system)
     assert not in_ideal(single - wrong_nf, SYSTEM_SQ)
 
