@@ -12,12 +12,12 @@ whose top word has letter multiplicities alpha and whose bottom word
 has multiplicities beta.  The oracle builds, ranks and discards one
 (alpha, beta) block at a time and sums the ranks, so memory follows the
 largest block (4,900 of the 65,536 columns for r = 2, n = 8), not the
-whole matrix.  relation_matrix, check_basis_dimension and spanning_rank
-all enter through _blocks, which checks r, the degree and the one
-column budget, DEFAULT_BUDGET, then walks the blocks lazily.  Nothing
-is lost: eliminating a row only ever subtracts pivot rows that share
-its pivot column, hence its block, so the whole matrix's elimination
-never mixes blocks.
+whole matrix.  enumerate_biwords, relation_matrix, check_basis_dimension
+and spanning_rank all enter through _blocks, which checks r, the degree
+and the one column budget, DEFAULT_BUDGET, then walks the blocks
+lazily.  Nothing is lost: eliminating a row only ever subtracts pivot
+rows that share its pivot column, hence its block, so the whole
+matrix's elimination never mixes blocks.
 relation_matrix lists the rows block by block in the order the blocks
 are walked, so ranking it whole does the blocked elimination step for
 step: the same fill-in and the same rank.
@@ -88,13 +88,9 @@ DEFAULT_BUDGET = 10**6
 
 
 def enumerate_biwords(r: int, n: int) -> list[Biword]:
-    """All r^(2n) biwords of length n, ordered by (top, bottom) lex."""
-    alphabet = range(1, r + 1)
-    return [
-        Biword._make(top, bottom)
-        for top in itertools.product(alphabet, repeat=n)
-        for bottom in itertools.product(alphabet, repeat=n)
-    ]
+    """All r^(2n) biwords of length n, by (top, bottom) lex, within the budget."""
+    words, *_ = _blocks(r, n)
+    return [Biword._make(top, bottom) for top in words for bottom in words]
 
 
 def count_irreducible(r: int, n: int) -> int:
@@ -246,11 +242,8 @@ def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     walk = _blocks(r, n)
     q = _as_q(q_value)
     ambient = r ** (2 * n)
-    # Rows share one int object per column; a fresh int per entry would
-    # grow the matrix by about a quarter-million objects for r=2, n=8.
-    column = list(range(ambient))
     return [
-        {column[key % ambient]: c for key, c in row.items()}
+        {key % ambient: c for key, c in row.items()}
         for *_, rows in _relation_blocks(*walk, q)
         for row in rows
     ]

@@ -48,9 +48,6 @@ class Laurent:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = _constant(other)

@@ -106,10 +106,17 @@ def ferm(r: int, variant: str = "q") -> Expression:
 
     Subsets are visited by size, then lexicographically, and permutations
     lexicographically, so construction order is reproducible.  The empty
-    subset contributes the unit term.
+    subset contributes the unit term.  It has the sum of r!/(r - k)! over
+    k <= r terms, and over DEFAULT_TERM_CAP of them nothing is built.
     """
     _at_least(1, r=r)
     weighted = _series_weighted(variant)
+    count = arrangements = 1
+    for k in range(r):
+        arrangements *= r - k
+        count += arrangements
+        if count > DEFAULT_TERM_CAP:
+            raise TermCapExceeded(f"series exceeded {DEFAULT_TERM_CAP} terms")
     terms: dict[Rows, "Laurent | int"] = {}
     for size in range(r + 1):
         for subset in itertools.combinations(range(1, r + 1), size):
@@ -121,11 +128,14 @@ def bos(r: int, max_len: int, variant: str = "q") -> Expression:
     """Sum of q^(inv w) (sorted w / w) over words of length at most max_len.
 
     Built one sorted content at a time, contents by length, from the same
-    terms that qmm_check builds for each of its content blocks.
+    terms that qmm_check builds for each of its content blocks.  Over
+    DEFAULT_TERM_CAP terms nothing is built.
     """
     _at_least(1, r=r)
     _at_least(0, max_len=max_len)
     weighted = _series_weighted(variant)
+    if _bos_size(r, max_len) > DEFAULT_TERM_CAP:
+        raise TermCapExceeded(f"series exceeded {DEFAULT_TERM_CAP} terms")
     terms: dict[Rows, "Laurent | int"] = {}
     for n in range(max_len + 1):
         for content in itertools.combinations_with_replacement(range(1, r + 1), n):

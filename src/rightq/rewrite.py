@@ -161,7 +161,6 @@ class TraceStep(NamedTuple):
 
 @dataclass
 class ReductionReport:
-    input: Expression
     normal_form: Expression
     rewrite_steps: int
     max_intermediate_terms: int
@@ -170,10 +169,7 @@ class ReductionReport:
 
 @dataclass
 class ConfluenceReport:
-    r: int
-    max_len: int
     trials: int
-    seed: int
     system: str
     reducible: int = 0  # trials whose draw has a double descent
     counterexamples: list[Biword] = field(default_factory=list)
@@ -346,7 +342,6 @@ def reduce(
         work, system, strategy, keep_trace, term_cap
     )
     return ReductionReport(
-        input=expr,
         normal_form=Expression._make(work),
         rewrite_steps=steps,
         max_intermediate_terms=max_terms,
@@ -458,7 +453,7 @@ def check_confluence_fuzz(
     _at_least(2, r=r, max_len=max_len)  # fewer leave nothing to rewrite
     _at_least(1, trials=trials)
     rng = random.Random(seed)
-    report = ConfluenceReport(r, max_len, trials, seed, system.tag)
+    report = ConfluenceReport(trials, system.tag)
     for _ in range(trials):
         top, bottom = _random_rows(rng, r, max_len)
         if _descent_mask(top, bottom):

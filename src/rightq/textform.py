@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .expressions import Expression, _accumulate
 from .laurent import Laurent
-from .words import Biword, Rows, format_word_pair
+from .words import Biword, Rows, format_word_pair, row_key
 
 _EMPTY: Rows = (), ()
 
@@ -231,8 +231,9 @@ def print_expression(expr: Expression) -> str:
         return "0"
     chunks: list[str] = []
     first = True
-    for bw, coeff in expr.terms():
-        for exponent, c in coeff.monomials():
+    for rows in sorted(expr._terms, key=row_key):
+        pair = format_word_pair(*rows)
+        for exponent, c in expr._terms[rows].monomials():
             magnitude = abs(c)
             negative = c < 0
             factors: list[str] = []
@@ -242,7 +243,7 @@ def print_expression(expr: Expression) -> str:
                 factors.append(str(-magnitude if first and negative else magnitude))
             if exponent:
                 factors.append("q" if exponent == 1 else f"q^{exponent}")
-            factors.append(format_word_pair(bw.top, bw.bottom))
+            factors.append(pair)
             body = "*".join(factors)
             if first:
                 chunks.append(body)

@@ -83,7 +83,8 @@ def row_key(rows: Rows) -> tuple[int, Word, Word]:
 def format_word_pair(top: Word, bottom: Word) -> str:
     if not top and not bottom:
         return "e"
-    if all(1 <= x <= 9 for x in top) and all(1 <= x <= 9 for x in bottom):
+    # Letters are positive (Biword and the parser check it).
+    if max(top + bottom) <= 9:
         return "%s/%s" % ("".join(map(str, top)), "".join(map(str, bottom)))
     return "(%s)/(%s)" % (",".join(map(str, top)), ",".join(map(str, bottom)))
 

@@ -36,11 +36,16 @@ def test_ferm_smallest_cases():
     assert ferm(2, "one") == ex("e - 1/1 - 2/2 + 12/12 - 21/12")
 
 
-def test_ferm_term_count():
+def test_ferm_term_count(monkeypatch):
     # one term per (subset, permutation) pair
     for r in (1, 2, 3, 4):
         expected = sum(math.comb(r, k) * math.factorial(k) for k in range(r + 1))
         assert len(ferm(r, "q")) == expected
+        # ferm refuses by this closed form, against the default cap
+        monkeypatch.setattr(macmahon, "DEFAULT_TERM_CAP", expected - 1)
+        with pytest.raises(TermCapExceeded, match=f"exceeded {expected - 1} terms"):
+            ferm(r)
+        monkeypatch.undo()
     assert len(ferm(3, "q")) == 16
 
 
@@ -251,6 +256,10 @@ def test_series_over_the_term_cap_are_refused_unbuilt():
     try:
         with pytest.raises(TermCapExceeded, match="series exceeded 200000 terms"):
             qmm_check(30, 5, "strong", term_cap=200_000)
+        # ferm(11) has 108,505,112 terms and bos(2, 23) 16,777,215.
+        for build in (lambda: ferm(11), lambda: bos(2, 23, "one")):
+            with pytest.raises(TermCapExceeded, match="series exceeded 10000000"):
+                build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -260,13 +269,19 @@ def test_series_over_the_term_cap_are_refused_unbuilt():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("max_degree", range(6))
-def test_series_cap_is_the_size_of_bos(r, max_degree):
+def test_series_cap_is_the_size_of_bos(r, max_degree, monkeypatch):
     # ferm on at most D letters never has more terms than bos, so the
     # series are refused exactly when bos is over the cap.
     size = len(bos(r, max_degree, "one"))
     with pytest.raises(TermCapExceeded, match=f"series exceeded {size - 1} terms"):
         qmm_check(r, max_degree, "strong", size - 1)
     assert qmm_check(r, max_degree, "strong", size).ok
+    # bos refuses by the same closed form, against the default cap.
+    monkeypatch.setattr(macmahon, "DEFAULT_TERM_CAP", size - 1)
+    with pytest.raises(TermCapExceeded, match=f"series exceeded {size - 1} terms"):
+        bos(r, max_degree)
+    monkeypatch.setattr(macmahon, "DEFAULT_TERM_CAP", size)
+    assert len(bos(r, max_degree)) == size
 
 
 @pytest.mark.parametrize("variant", ["strong", "q"])
