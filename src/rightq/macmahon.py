@@ -13,7 +13,9 @@ one block at a time and never forms a whole degree component.  Nor does
 it build either series whole: a block builds the ferm terms of each
 subset of its letters, the permutations of that subset, and the bos
 terms of one content are its distinct rearrangements, generated when a
-block first asks for them.
+block first asks for them.  All of it is built and reduced at q = 1,
+with int coefficients, under the plain system; the q-weighted series
+and normal forms are phi of the plain ones (the "1 = q" principle).
 """
 
 import itertools
@@ -21,15 +23,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .expressions import Expression, _add_products
-from .laurent import Laurent
 from .rewrite import (
     DEFAULT_TERM_CAP,
     LEFTMOST,
     SYSTEM_S,
-    SYSTEM_SQ,
     TermCapExceeded,
     _reduce_rows,
 )
+from .weight import phi
 from .words import Rows, Word, _at_least, inv
 
 _VARIANTS = ("q", "one", "strong")
@@ -41,16 +42,14 @@ def _series_weighted(variant: str) -> bool:
     return variant == "q"
 
 
-def _ferm_subset(subset: Word, weighted: bool) -> list:
+def _ferm_subset(subset: Word) -> list:
     """The ferm terms (perm / subset) of one sorted subset, permutations in
-    lexicographic order, with (-1)^|subset| (-q)^(-inv perm) or its q = 1 value."""
-    subset_sign = -1 if len(subset) % 2 else 1
-    terms = []
-    for perm in itertools.permutations(subset):
-        k = inv(perm)
-        c = subset_sign * (-1 if k % 2 else 1)
-        terms.append(((perm, subset), Laurent.q_power(-k, c) if weighted else c))
-    return terms
+    lexicographic order, with (-1)^(|subset| + inv perm), the q = 1 value."""
+    odd = len(subset) % 2
+    return [
+        ((perm, subset), -1 if (odd + inv(perm)) % 2 else 1)
+        for perm in itertools.permutations(subset)
+    ]
 
 
 def _bos_size(r: int, max_len: int) -> int:
@@ -58,46 +57,38 @@ def _bos_size(r: int, max_len: int) -> int:
     return max_len + 1 if r == 1 else (r ** (max_len + 1) - 1) // (r - 1)
 
 
-def _bos_content(content: Word, weighted: bool) -> list:
+def _bos_content(content: Word) -> list:
     """The bos terms (content / w) of one sorted content, one per distinct
-    rearrangement w in lexicographic order, with q^(inv w) or 1.
-
-    Depth first over prefixes: a prefix's next letter stands above every
-    smaller letter still to come, which carries inv forward, and a prefix
-    with one letter left completes to one word, built whole.
-    """
+    rearrangement w in lexicographic order, with the q = 1 value 1: depth
+    first over prefixes, and a prefix with one letter left built whole."""
     terms = []
     counts = tuple((letter, content.count(letter)) for letter in dict.fromkeys(content))
-    stack = [((), counts, 0)]
+    stack = [((), counts)]
     while stack:
-        prefix, left, k = stack.pop()
+        prefix, left = stack.pop()
         if len(left) <= 1:
             w = prefix + (left[0][0],) * left[0][1] if left else prefix
-            terms.append(((content, w), Laurent.q_power(k) if weighted else 1))
+            terms.append(((content, w), 1))
             continue
-        children = []
-        for i, (letter, count) in enumerate(left):
+        for i in reversed(range(len(left))):
+            letter, count = left[i]
             rest = left[:i] + ((letter, count - 1),) * (count > 1) + left[i + 1 :]
-            children.append((prefix + (letter,), rest, k))
-            k += count
-        stack += reversed(children)
+            stack.append((prefix + (letter,), rest))
     return terms
 
 
-def _content_block(
-    content: Word, weighted: bool, bos_of: Callable[[Word], list]
-) -> dict:
-    """The terms of ferm * bos whose rows have the given sorted content:
-    the sum over subsets J of its letters, by size and then
+def _content_block(content: Word, bos_of: Callable[[Word], list]) -> dict:
+    """The terms of ferm * bos at q = 1 whose rows have the given sorted
+    content: the sum over subsets J of its letters, by size and then
     lexicographically, of _ferm_subset(J) * bos_of(content - J)."""
-    block: dict[Rows, "Laurent | int"] = {}
+    block: dict[Rows, int] = {}
     letters = sorted(set(content))
     for size in range(len(letters) + 1):
         for subset in itertools.combinations(letters, size):
             rest = list(content)
             for letter in subset:
                 rest.remove(letter)
-            _add_products(block, _ferm_subset(subset, weighted), bos_of(tuple(rest)))
+            _add_products(block, _ferm_subset(subset), bos_of(tuple(rest)))
     return block
 
 
@@ -117,11 +108,12 @@ def ferm(r: int, variant: str = "q") -> Expression:
         count += arrangements
         if count > DEFAULT_TERM_CAP:
             raise TermCapExceeded(f"series exceeded {DEFAULT_TERM_CAP} terms")
-    terms: dict[Rows, "Laurent | int"] = {}
+    terms: dict[Rows, int] = {}
     for size in range(r + 1):
         for subset in itertools.combinations(range(1, r + 1), size):
-            terms.update(_ferm_subset(subset, weighted))
-    return Expression._make(terms)
+            terms.update(_ferm_subset(subset))
+    plain = Expression._make(terms)
+    return phi(plain) if weighted else plain
 
 
 def bos(r: int, max_len: int, variant: str = "q") -> Expression:
@@ -136,11 +128,12 @@ def bos(r: int, max_len: int, variant: str = "q") -> Expression:
     weighted = _series_weighted(variant)
     if _bos_size(r, max_len) > DEFAULT_TERM_CAP:
         raise TermCapExceeded(f"series exceeded {DEFAULT_TERM_CAP} terms")
-    terms: dict[Rows, "Laurent | int"] = {}
+    terms: dict[Rows, int] = {}
     for n in range(max_len + 1):
         for content in itertools.combinations_with_replacement(range(1, r + 1), n):
-            terms.update(_bos_content(content, weighted))
-    return Expression._make(terms)
+            terms.update(_bos_content(content))
+    plain = Expression._make(terms)
+    return phi(plain) if weighted else plain
 
 
 @dataclass
@@ -154,6 +147,8 @@ class DegreeResult:
 
 @dataclass
 class QmmReport:
+    """system tags the ideal the identity is checked in: "sq" for "q"."""
+
     r: int
     max_degree: int
     system: str
@@ -173,32 +168,34 @@ def qmm_check(
 ) -> QmmReport:
     """Check the master identity through total degree max_degree.
 
-    variant "q" reduces the q-weighted product under the q-weighted
-    system; "one" and "strong" reduce the q = 1 product under the plain
-    system (the strong form asserts the product's normal form is exactly
-    the unit, which is the same degreewise condition).  Degree 0 must
-    reduce to the unit and every higher degree to zero.  Each degree D
-    is built and reduced one content block at a time: for each sorted
-    content m with |m| = D, the sum over subsets J of m's letters of the
-    ferm terms on J times the bos terms of content m - J.  A rewrite
-    keeps the content, so the blocks reduce independently; a degree's
-    terms and steps are the sums over its blocks, and its normal form
-    is their union.  Series terms and blocks stay keyed by (top, bottom)
-    rows, with int coefficients under the plain variants, from
-    construction through the reduction.  Neither series is built whole.
-    Each block builds the ferm terms of each subset of its letters and
-    drops them with the block, so ferm is held for one block at a time.
-    The bos terms of a content are built when a block first asks for
-    them and kept only while a later degree may ask again, so contents
-    of at most r + 1 lengths are held.  Whole, bos would have sum r^n
-    terms over n <= max_degree, and that size alone decides the refusal:
-    if it exceeds term_cap, nothing is built.  term_cap bounds each
-    block.
+    Every variant reduces the q = 1 product under the plain system;
+    "one" and "strong" check it there (the strong form asserts the
+    product's normal form is exactly the unit, the same degreewise
+    condition).  "q" checks the q-weighted identity in the q-weighted
+    ideal: phi(x) = q^(inv bottom - inv top) x adds up over products of
+    circuits, so the weighted product is phi of the plain one, and each
+    weighted rule is its plain rule conjugated by phi, so the weighted
+    system takes the same rewrites to phi of the plain normal form.
+    Degree 0 must reduce to the unit and every higher degree to zero.
+    Each degree D is built and reduced one content block at a time: for
+    each sorted content m with |m| = D, the sum over subsets J of m's
+    letters of the ferm terms on J times the bos terms of content m - J.
+    A rewrite keeps the content, so the blocks reduce independently; a
+    degree's terms and steps are the sums over its blocks, and its
+    normal form is their union.  Series terms and blocks stay keyed by
+    (top, bottom) rows, with int coefficients, from construction through
+    the reduction.  Neither series is built whole.  Each block builds
+    the ferm terms of each subset of its letters and drops them with the
+    block, so ferm is held for one block at a time.  The bos terms of a
+    content are built when a block first asks for them and kept only
+    while a later degree may ask again, so contents of at most r + 1
+    lengths are held.  Whole, bos would have sum r^n terms over
+    n <= max_degree, and that size alone decides the refusal: if it
+    exceeds term_cap, nothing is built.  term_cap bounds each block.
     """
     _at_least(1, r=r)
     _at_least(0, max_degree=max_degree, term_cap=term_cap)
     weighted = _series_weighted(variant)
-    system = SYSTEM_SQ if weighted else SYSTEM_S
     if _bos_size(r, max_degree) > term_cap:
         raise TermCapExceeded(f"series exceeded {term_cap} terms")
     # A bos content is built when a block first asks for it and kept while
@@ -209,7 +206,7 @@ def qmm_check(
     def bos_of(rest: Word) -> list:
         terms = kept.get(rest)
         if terms is None:
-            terms = _bos_content(rest, weighted)
+            terms = _bos_content(rest)
             if len(rest) < max_degree:
                 kept[rest] = terms
         return terms
@@ -217,16 +214,18 @@ def qmm_check(
     rows: list[DegreeResult] = []
     for degree in range(max_degree + 1):
         terms = steps = 0
-        reduced: dict[Rows, "Laurent | int"] = {}
+        reduced: dict[Rows, int] = {}
         for content in itertools.combinations_with_replacement(range(1, r + 1), degree):
-            block = _content_block(content, weighted, bos_of)
+            block = _content_block(content, bos_of)
             terms += len(block)
-            block_steps, _, _ = _reduce_rows(block, system, LEFTMOST, False, term_cap)
+            block_steps, _, _ = _reduce_rows(block, SYSTEM_S, LEFTMOST, False, term_cap)
             steps += block_steps
             reduced.update(block)
         for done in [m for m in kept if len(m) + r <= degree]:
             del kept[done]
         normal_form = Expression._make(reduced)
+        if weighted:
+            normal_form = phi(normal_form)
         target = Expression.unit() if degree == 0 else Expression.zero()
         rows.append(
             DegreeResult(
@@ -237,5 +236,5 @@ def qmm_check(
                 rewrite_steps=steps,
             )
         )
-    return QmmReport(r, max_degree, system.tag, variant, rows)
+    return QmmReport(r, max_degree, "sq" if weighted else "s", variant, rows)
 

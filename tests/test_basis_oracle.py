@@ -34,7 +34,8 @@ from rightq.basis_oracle import (
     _relation_blocks,
     _relation_stencil,
 )
-from rightq.laurent import ONE, Q
+
+from _wrong_tables import WRONG_RULES, use_wrong_rules
 
 
 def transfer_matrix_count(r: int, n: int) -> int:
@@ -383,21 +384,6 @@ def test_relation_stencil_clears_the_weighted_table(q):
     }
 
 
-_WRONG_RULES = {
-    "swap-q-as-1": {True: ((1, 0, ONE),)},
-    "split-q-inverse-as-q": {False: ((1, 1, ONE), (1, 0, Q), (0, 1, -Q))},
-}
-
-
-def use_wrong_rules(monkeypatch, change):
-    """Put the sq table with change applied in place of SYSTEM_SQ's; return it."""
-    rules = {**rightq.rewrite._RULES, **change}
-    monkeypatch.setattr(rightq.rewrite, "_RULES", rules)
-    wrong = rightq.rewrite.ReductionSystem("sq")
-    monkeypatch.setattr(SYSTEM_SQ, "stencil", wrong.stencil)
-    return wrong
-
-
 @pytest.mark.parametrize(
     "name, relation_rank",
     [("swap-q-as-1", 320), ("split-q-inverse-as-q", 321)],
@@ -408,7 +394,7 @@ def test_a_wrong_weighted_table_fails_overlaps_and_rank(
 ):
     # The oracle ranks the engine's own sq table, so a wrong rule there
     # must show both as an unresolved overlap and as a wrong rank.
-    wrong = use_wrong_rules(monkeypatch, _WRONG_RULES[name])
+    wrong = use_wrong_rules(monkeypatch, WRONG_RULES[name])
     overlaps = itertools.combinations_with_replacement((3, 2, 1), 3)
     assert not all(check_ambiguity(3, 2, 1, *abc, wrong) for abc in overlaps)
     report = check_basis_dimension(3, 3, Fraction(3, 5))
@@ -585,12 +571,12 @@ def test_kept_rows_have_each_blocks_rank(r, n, q):
     assert block_ranks(r, n, q, True) == block_ranks(r, n, q, False)
 
 
-@pytest.mark.parametrize("name", list(_WRONG_RULES))
+@pytest.mark.parametrize("name", list(WRONG_RULES))
 @pytest.mark.parametrize("r, n", _KEPT_CASES)
 def test_kept_rows_have_each_blocks_rank_under_a_wrong_table(
     monkeypatch, r, n, name
 ):
-    use_wrong_rules(monkeypatch, _WRONG_RULES[name])
+    use_wrong_rules(monkeypatch, WRONG_RULES[name])
     q = Fraction(3, 5)
     assert block_ranks(r, n, q, True) == block_ranks(r, n, q, False)
 

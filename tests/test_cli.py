@@ -11,9 +11,10 @@ import pytest
 
 import rightq.cli
 import rightq.rewrite
-from rightq import SYSTEM_SQ, parse_expression
+from rightq import parse_expression
 from rightq.cli import main
-from rightq.laurent import ONE, Q
+
+from _wrong_tables import WRONG_RULES, use_wrong_rules
 
 
 def run(capsys, *argv):
@@ -286,18 +287,11 @@ def test_check_principle_memory_does_not_grow_with_r(capsys):
     assert peak < 5_000_000
 
 
-@pytest.mark.parametrize(
-    "change",
-    [{True: ((1, 0, ONE),)}, {False: ((1, 1, ONE), (1, 0, Q), (0, 1, -Q))}],
-    ids=["swap-q-as-1", "split-q-inverse-as-q"],
-)
-def test_check_principle_fails_on_a_wrong_weighted_table(capsys, monkeypatch, change):
+@pytest.mark.parametrize("name", list(WRONG_RULES))
+def test_check_principle_fails_on_a_wrong_weighted_table(capsys, monkeypatch, name):
     # The memo is keyed by SYSTEM_SQ itself, so its normal forms under the
     # real table must not reach this test, nor the wrong ones leave it.
-    rules = {**rightq.rewrite._RULES, **change}
-    monkeypatch.setattr(rightq.rewrite, "_RULES", rules)
-    wrong = rightq.rewrite.ReductionSystem("sq")
-    monkeypatch.setattr(SYSTEM_SQ, "stencil", wrong.stencil)
+    use_wrong_rules(monkeypatch, WRONG_RULES[name])
     rightq.rewrite.clear_caches()
     try:
         code, out, _ = run(

@@ -25,6 +25,8 @@ from rightq import (
     reduce,
 )
 
+from _wrong_tables import WRONG_RULES, use_wrong_rules
+
 
 def ex(text: str) -> Expression:
     return parse_expression(text)
@@ -34,6 +36,21 @@ def test_ferm_smallest_cases():
     assert ferm(1, "q") == ex("e - 1/1")
     assert ferm(2, "q") == ex("e - 1/1 - 2/2 + 12/12 - q^-1*21/12")
     assert ferm(2, "one") == ex("e - 1/1 - 2/2 + 12/12 - 21/12")
+
+
+# ferm is built at q = 1 and weighted by phi; this reference weights each
+# (sigma(J) / J) by (-1)^|J| (-q)^(-inv sigma) directly.
+def test_ferm_is_the_signed_subset_permutation_sum():
+    for r in (1, 2, 3, 4):
+        reference = {}
+        for size in range(r + 1):
+            for subset in itertools.combinations(range(1, r + 1), size):
+                for perm in itertools.permutations(subset):
+                    k = inv(perm)
+                    sign = (-1) ** (size + k)
+                    reference[perm, subset] = Laurent.q_power(-k, sign)
+        assert ferm(r, "q") == Expression._make(reference)
+        assert ferm(r, "one") == Expression._make(reference).eval_at_one()
 
 
 def test_ferm_term_count(monkeypatch):
@@ -98,7 +115,8 @@ def _multinomial(content):
 
 # bos is built one content at a time; every word of length n appears
 # under its own content, so the contents of length <= D together are
-# bos(r, D), which must match every word of itertools.product.
+# bos(r, D) at q = 1, and phi of them bos(r, D) itself, which must match
+# every word of itertools.product.
 @pytest.mark.parametrize("variant", ["q", "one"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_bos_contents_together_are_bos(r, variant):
@@ -107,7 +125,7 @@ def test_bos_contents_together_are_bos(r, variant):
         union, reference = {}, {}
         for n in range(max_len + 1):
             for content in itertools.combinations_with_replacement(range(1, r + 1), n):
-                terms = macmahon._bos_content(content, weighted)
+                terms = macmahon._bos_content(content)
                 words = [bottom for (top, bottom), _ in terms]
                 assert all(top == content for (top, _), _ in terms)
                 assert all(tuple(sorted(w)) == content for w in words)
@@ -117,18 +135,15 @@ def test_bos_contents_together_are_bos(r, variant):
             for w in itertools.product(range(1, r + 1), repeat=n):
                 c = Laurent.q_power(inv(w)) if weighted else 1
                 reference[tuple(sorted(w)), w] = c
-        assert Expression._make(union) == bos(r, max_len, variant)
+        union = Expression._make(union)
+        assert (phi(union) if weighted else union) == bos(r, max_len, variant)
         assert Expression._make(reference) == bos(r, max_len, variant)
 
 
 def test_bos_content_of_no_letter_or_one_letter():
-    assert macmahon._bos_content((), False) == [(((), ()), 1)]
-    assert macmahon._bos_content((), True) == [(((), ()), Laurent.q_power(0))]
+    assert macmahon._bos_content(()) == [(((), ()), 1)]
     for content in [(1,), (3,), (2, 2, 2, 2), (4,) * 1000]:
-        assert macmahon._bos_content(content, False) == [((content, content), 1)]
-        assert macmahon._bos_content(content, True) == [
-            ((content, content), Laurent.q_power(0))
-        ]
+        assert macmahon._bos_content(content) == [((content, content), 1)]
 
 
 def _lines_run(call):
@@ -150,17 +165,17 @@ def _lines_run(call):
 
 def test_one_letter_content_takes_no_step_per_letter():
     # a one-letter content has one word, built whole, not letter by letter
-    short = _lines_run(lambda: macmahon._bos_content((2,) * 10, True))
-    assert _lines_run(lambda: macmahon._bos_content((2,) * 100_000, True)) == short
+    short = _lines_run(lambda: macmahon._bos_content((2,) * 10))
+    assert _lines_run(lambda: macmahon._bos_content((2,) * 100_000)) == short
 
 
 def test_each_bos_content_is_built_once(monkeypatch):
     original = macmahon._bos_content
     built = []
 
-    def counted(content, weighted):
+    def counted(content):
         built.append(content)
-        return original(content, weighted)
+        return original(content)
 
     monkeypatch.setattr(macmahon, "_bos_content", counted)
     assert qmm_check(3, 5, "strong").ok
@@ -231,6 +246,23 @@ def test_qmm_small_all_variants():
         assert head.normal_form == Expression.unit()
         for row in report.per_degree[1:]:
             assert row.normal_form.is_zero()
+
+
+# qmm_check reduces under the plain table only, so a wrong weighted table
+# cannot reach it; the direct weighted reduction of the same components
+# is where such a table shows.
+@pytest.mark.parametrize(
+    "name, failing",
+    [("swap-q-as-1", [3]), ("split-q-inverse-as-q", [2, 3])],
+    ids=list(WRONG_RULES),
+)
+def test_a_wrong_weighted_table_fails_the_direct_reduction(monkeypatch, name, failing):
+    use_wrong_rules(monkeypatch, WRONG_RULES[name])
+    product = ferm(2, "q").product(bos(2, 3, "q"), max_degree=3)
+    components = [product.homogeneous_component(d) for d in range(1, 4)]
+    reduced = [reduce(c, SYSTEM_SQ).normal_form for c in components]
+    assert [d for d, nf in enumerate(reduced, 1) if nf] == failing
+    assert qmm_check(2, 3, "q").ok
 
 
 def test_qmm_trivial_alphabet():

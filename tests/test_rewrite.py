@@ -576,6 +576,20 @@ def test_one_memo_fill_stores_at_most_the_term_cap(monkeypatch):
     rightq.rewrite.clear_caches()
     report = reduce(single, SYSTEM_S, term_cap=100_000)
     assert len(report.normal_form) == 13_543
+    # The cap's boundary: filling 4321/4321 stores 1,049 terms in 255
+    # entries under either system, so a cap of 1,049 holds and 1,048 not.
+    small = Expression.single(bw("4321/4321"))
+    for system in (SYSTEM_S, SYSTEM_SQ):
+        rightq.rewrite.clear_caches()
+        monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 1_049)
+        in_ideal(small, system)
+        stored = rightq.rewrite._NF_CACHES[system].values()
+        assert (len(stored), sum(map(len, stored))) == (255, 1_049)
+        rightq.rewrite.clear_caches()
+        monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 1_048)
+        with pytest.raises(TermCapExceeded, match="stored terms"):
+            in_ideal(small, system)
+    rightq.rewrite.clear_caches()
 
 
 @pytest.mark.parametrize("system", [SYSTEM_S, SYSTEM_SQ], ids=["s", "sq"])
