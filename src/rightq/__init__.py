@@ -45,10 +45,8 @@ from .rewrite import (
     clear_caches,
     in_ideal,
     measure_check_count,
-    random_strategy,
     reduce,
     rewrite_at,
-    system_by_name,
 )
 from .textform import (
     LengthMismatch,
@@ -121,11 +119,9 @@ __all__ = [
     "phi_inv",
     "print_expression",
     "qmm_check",
-    "random_strategy",
     "rank",
     "reduce",
     "relation_matrix",
     "rewrite_at",
     "spanning_rank",
-    "system_by_name",
 ]

@@ -12,12 +12,12 @@ whose top word has letter multiplicities alpha and whose bottom word
 has multiplicities beta.  The oracle builds, ranks and discards one
 (alpha, beta) block at a time and sums the ranks, so memory follows the
 largest block (4,900 of the 65,536 columns for r = 2, n = 8), not the
-whole matrix.  enumerate_biwords, relation_matrix, check_basis_dimension
-and spanning_rank all enter through _blocks, which checks r, the degree
-and the one column budget, DEFAULT_BUDGET, then walks the blocks
-lazily.  Nothing is lost: eliminating a row only ever subtracts pivot
-rows that share its pivot column, hence its block, so the whole
-matrix's elimination never mixes blocks.
+whole matrix.  enumerate_biwords, count_irreducible, relation_matrix,
+check_basis_dimension and spanning_rank all enter through _blocks,
+which checks r, the degree and the one column budget, DEFAULT_BUDGET,
+then walks the blocks lazily.  Nothing is lost: eliminating a row only
+ever subtracts pivot rows that share its pivot column, hence its block,
+so the whole matrix's elimination never mixes blocks.
 relation_matrix lists the rows block by block in the order the blocks
 are walked, so ranking it whole does the blocked elimination step for
 step: the same fill-in and the same rank.
@@ -72,7 +72,10 @@ The third route is a closed form per block.  The irreducible count of
 block (alpha, beta) is the coefficient of x^alpha y^beta in
 1 / sum_k (-1)^k e_k(x) h_k(y), the multigraded form of the Koszul-dual
 series (Hai-Lorenz, "Koszul algebras and the quantum MacMahon master
-theorem").
+theorem").  Its e_k(x) h_k(y) reflects the rule table: with t, b the
+pair's top and bottom words and s their letter swap, each relation is
+(t - q st) (x) (b + q^-1 sb), or (t - q st) (x) b for equal bottom
+letters, q-antisymmetric in the top row and q-symmetric in the bottom.
 """
 
 import itertools
@@ -94,12 +97,13 @@ def enumerate_biwords(r: int, n: int) -> list[Biword]:
 
 
 def count_irreducible(r: int, n: int) -> int:
-    """Brute enumeration count of length-n biwords with no double descent.
+    """Brute enumeration count of length-n biwords with no double descent."""
+    return _irreducible_count(_blocks(r, n)[0])
 
-    Such a biword's top strict descents and bottom weak descents lie at
-    disjoint positions, so each word is grouped by its descent masks.
-    """
-    words = list(itertools.product(range(1, r + 1), repeat=n))
+
+def _irreducible_count(words: list[Word]) -> int:
+    """Biwords over words with no double descent: a top's strict descents
+    and a bottom's weak ones at disjoint positions, grouped by mask."""
     strict = Counter(descent_mask(w) for w in words)
     weak = Counter(descent_mask(w, weak=True) for w in words)
     return sum(t * b for s, t in strict.items() for w, b in weak.items() if not s & w)
@@ -384,14 +388,14 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     uses only the shape of the stencil, never its values, so like the
     mirror it holds at every q and for a wrong table.
     """
-    *walk, blocks = _blocks(r, n)
+    words, *walk, blocks = _blocks(r, n)
     q = _as_q(q_value)
     ambient = r ** (2 * n)
     ranked = (b for b in blocks if b[:2] <= (b[0][::-1], b[1][::-1]))
     relation_rank = closed_form = 0
     blocks_agree = True
     memo: dict = {}
-    kept = _relation_blocks(*walk, ranked, q, pruned=True)
+    kept = _relation_blocks(words, *walk, ranked, q, pruned=True)
     for alpha, beta, columns, rows in kept:
         block_rank = rank(rows)
         for pair in {(alpha, beta), (alpha[::-1], beta[::-1])}:
@@ -400,7 +404,7 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
             closed_form += expected
             blocks_agree = blocks_agree and columns - block_rank == expected
     quotient = ambient - relation_rank
-    irreducible = count_irreducible(r, n)
+    irreducible = _irreducible_count(words)
     return DimensionReport(
         r=r,
         degree=n,

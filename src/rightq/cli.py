@@ -26,21 +26,22 @@ from .macmahon import _VARIANTS, qmm_check
 from .rewrite import (
     DEFAULT_TERM_CAP,
     LEFTMOST,
-    RIGHTMOST,
     SYSTEM_S,
+    SYSTEM_SQ,
+    Strategy,
     TermCapExceeded,
-    _SYSTEMS,
     _random_rows,
     check_ambiguity,
     check_confluence_fuzz,
-    random_strategy,
     reduce,
     rewrite_at,
-    system_by_name,
 )
 from .textform import ParseError, parse_biword, parse_expression, print_expression
 from .weight import check_principle, phi, phi_inv
 from .words import Biword, _at_least
+
+# The one place a system is named: --system's choices and lookups read it.
+_SYSTEMS = {system.tag: system for system in (SYSTEM_S, SYSTEM_SQ)}
 
 
 def _verbose() -> bool:
@@ -62,19 +63,14 @@ def _emit(key: str, value) -> None:
     print(f"{key}\t{_text(value)}")
 
 
-def _strategy_arg(text: str):
-    if text == "leftmost":
-        return LEFTMOST
-    if text == "rightmost":
-        return RIGHTMOST
-    if text.startswith("random:"):
-        try:
-            return random_strategy(int(text.split(":", 1)[1]))
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(
-        f"expected leftmost, rightmost or random:<seed>, got {text!r}"
-    )
+def _strategy_arg(text: str) -> Strategy:
+    kind, colon, seed = text.partition(":")
+    try:
+        return Strategy(kind, int(seed) if colon else None)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected leftmost, rightmost or random:<seed>, got {text!r}"
+        ) from None
 
 
 def _q_arg(text: str) -> Fraction:
@@ -88,7 +84,7 @@ def _cmd_normalize(args) -> int:
     expr = parse_expression(args.expr)
     report = reduce(
         expr,
-        system_by_name(args.system),
+        _SYSTEMS[args.system],
         args.strategy,
         term_cap=args.term_cap,
     )
@@ -134,7 +130,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_check_ambiguities(args) -> int:
-    systems = [system_by_name(args.system)] if args.system else _SYSTEMS.values()
+    systems = [_SYSTEMS[args.system]] if args.system else _SYSTEMS.values()
     failures = 0
     checked = 0
     for system in systems:
@@ -151,7 +147,7 @@ def _cmd_check_ambiguities(args) -> int:
 
 def _cmd_check_confluence(args) -> int:
     report = check_confluence_fuzz(
-        args.r, args.max_len, args.trials, args.seed, system_by_name(args.system)
+        args.r, args.max_len, args.trials, args.seed, _SYSTEMS[args.system]
     )
     _emit("system", report.system)
     _emit("trials", report.trials)

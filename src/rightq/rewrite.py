@@ -14,6 +14,9 @@ and the q-weighted system "sq" by
 
 _RULES writes the weighted rules once; the plain rules are their values
 at q = 1, and the basis oracle ranks the same table at rational q.
+With t, b the pair's top and bottom words and s the swap of their two
+letters, each relation pair - replacement is (t - q st) (x) (b + q^-1 sb)
+when a > b and (t - q st) (x) b when a = b.
 Every replacement strictly lowers the measure imv(bottom) + inv(top):
 the three branches above drop it by exactly 2, 1, 1 and the swap branch
 by 1.  A replacement only swaps letters within a row of the pair, so the
@@ -46,7 +49,8 @@ read one leftmost memo per ReductionSystem object (not per tag), keyed
 by rows, filled in one post-order pass through the same rewrite kernel
 and compared as row dicts.  It pays off over many related biwords; on
 one large one it stores many times the answer's terms, so one fill
-stores at most the term cap in total.  Its values are shared and
+stores at most the term cap in total, and a fill first empties a memo
+whose fills have stored more than the cap.  Its values are shared and
 read-only: a lone unit-coefficient child (the plain swap) lends its
 parent its dict.
 """
@@ -121,18 +125,11 @@ class ReductionSystem:
 
 SYSTEM_S = ReductionSystem("s")
 SYSTEM_SQ = ReductionSystem("sq")
-_SYSTEMS = {system.tag: system for system in (SYSTEM_S, SYSTEM_SQ)}
-
-
-def system_by_name(name: str) -> ReductionSystem:
-    if name not in _SYSTEMS:
-        raise ValueError(f"unknown reduction system {name!r}")
-    return _SYSTEMS[name]
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """Position-picking policy among the double descents of a biword."""
+    """Position-picking policy; only a random one takes a seed, an int."""
 
     kind: str  # "leftmost" | "rightmost" | "random"
     seed: int | None = None
@@ -143,14 +140,14 @@ class Strategy:
                 f"unknown strategy kind {self.kind!r}; "
                 "expected leftmost, rightmost or random"
             )
+        if self.kind == "random" and type(self.seed) is not int:
+            raise ValueError(f"a random strategy needs an int seed, got {self.seed!r}")
+        if self.kind != "random" and self.seed is not None:
+            raise ValueError(f"a {self.kind} strategy takes no seed, got {self.seed!r}")
 
 
 LEFTMOST = Strategy("leftmost")
 RIGHTMOST = Strategy("rightmost")
-
-
-def random_strategy(seed: int) -> Strategy:
-    return Strategy("random", seed)
 
 
 class TraceStep(NamedTuple):
@@ -352,10 +349,13 @@ def reduce(
 # Leftmost normal forms per system object, keyed by (top, bottom) rows, with
 # int coefficients under "s".  Values are shared and read-only.
 _NF_CACHES: dict[ReductionSystem, dict[Rows, dict[Rows, Laurent | int]]] = {}
+# Terms each system's fills stored since its memo was emptied, aborted ones too.
+_NF_STORED: dict[ReductionSystem, int] = {}
 
 
 def clear_caches() -> None:
     _NF_CACHES.clear()
+    _NF_STORED.clear()
 
 
 def _within_cap(terms: dict) -> dict:
@@ -368,6 +368,10 @@ def _within_cap(terms: dict) -> dict:
 def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
     """Leftmost normal form of rows, held to the term cap; shared, read-only."""
     memo = _NF_CACHES.setdefault(system, {})
+    total = _NF_STORED.get(system, 0)
+    if total > DEFAULT_TERM_CAP and rows not in memo:
+        memo.clear()
+        total = 0
     one = system.one
     stored = 0
     # Entries as _expand_rows makes them: (rows, mask, coefficient, drop).
@@ -399,6 +403,7 @@ def _leftmost_nf(rows: Rows, system: ReductionSystem) -> dict:
                 continue
             result = {cur: one}
         stored += len(result)
+        _NF_STORED[system] = total + stored
         if stored > DEFAULT_TERM_CAP:
             raise TermCapExceeded(
                 f"leftmost memo fill exceeded {DEFAULT_TERM_CAP} stored terms"
@@ -460,7 +465,7 @@ def check_confluence_fuzz(
             report.reducible += 1
         canonical = _leftmost_nf((top, bottom), system)
         alt = {(top, bottom): 1}
-        strategy = random_strategy(rng.getrandbits(32))
+        strategy = Strategy("random", rng.getrandbits(32))
         _reduce_rows(alt, system, strategy, False, DEFAULT_TERM_CAP)
         if canonical != alt:
             report.counterexamples.append(Biword._make(top, bottom))

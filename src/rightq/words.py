@@ -133,13 +133,10 @@ class Biword:
             return NotImplemented
         return self.top == other.top and self.bottom == other.bottom
 
-    def sort_key(self) -> tuple[int, Word, Word]:
-        return row_key((self.top, self.bottom))
-
     def __lt__(self, other: "Biword") -> bool:
         if not isinstance(other, Biword):
             return NotImplemented
-        return self.sort_key() < other.sort_key()
+        return row_key((self.top, self.bottom)) < row_key((other.top, other.bottom))
 
     def __mul__(self, other: "Biword") -> "Biword":
         if not isinstance(other, Biword):

@@ -13,6 +13,8 @@ REMOVED = (
     "print_biword",
     "reduce_biword",
     "normal_form",
+    "random_strategy",
+    "system_by_name",
 )
 
 # Members that no caller read, by the exported class that held them.
@@ -22,6 +24,7 @@ REMOVED_MEMBERS = (
     ("ConfluenceReport", "max_len"),
     ("ConfluenceReport", "seed"),
     ("Laurent", "__len__"),
+    ("Biword", "sort_key"),
 )
 
 

@@ -247,8 +247,10 @@ def test_spanning_rank_budget_guard():
         relation_matrix(2, 11)
     with pytest.raises(ValueError) as biwords:
         enumerate_biwords(2, 11)
+    with pytest.raises(ValueError) as count:
+        count_irreducible(2, 11)
     assert str(spanning.value) == str(dimension.value) == str(matrix.value)
-    assert str(biwords.value) == str(matrix.value)
+    assert str(biwords.value) == str(count.value) == str(matrix.value)
     assert "4194304 columns, over the budget of 1000000" in str(spanning.value)
 
 
@@ -272,7 +274,9 @@ def test_float_q_rejected():
     assert check_basis_dimension(2, 2, "one").q_value == "1"
 
 
-@pytest.mark.parametrize("fn", [relation_matrix, spanning_rank, enumerate_biwords])
+@pytest.mark.parametrize(
+    "fn", [relation_matrix, spanning_rank, enumerate_biwords, count_irreducible]
+)
 def test_oracle_rejects_bad_alphabet_or_degree(fn):
     with pytest.raises(ValueError, match="r must be at least 1, got 0"):
         fn(0, 3)

@@ -82,9 +82,18 @@ def test_normalize_strategies_agree(capsys):
 
 
 def test_normalize_rejects_bad_strategy(capsys):
+    for strategy in ("sideways", "random", "random:", "random:x", "leftmost:3"):
+        with pytest.raises(SystemExit) as info:
+            main(["normalize", "--strategy", strategy, "21/11"])
+        assert info.value.code == 2
+        assert f"random:<seed>, got {strategy!r}" in capsys.readouterr().err
+
+
+def test_normalize_rejects_unknown_system(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["normalize", "--strategy", "sideways", "21/11"])
+        main(["normalize", "--system", "plain", "21/21"])
     assert info.value.code == 2
+    assert "invalid choice: 'plain'" in capsys.readouterr().err
 
 
 def test_normalize_parse_error_exit(capsys):

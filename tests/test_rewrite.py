@@ -28,14 +28,14 @@ from rightq import (
     phi,
     phi_inv,
     qmm_check,
-    random_strategy,
     reduce,
     rewrite_at,
     spanning_rank,
-    system_by_name,
 )
+from rightq.laurent import ONE, Q, Q_INV
 
 from _strategies import biwords, expressions
+from _wrong_tables import WRONG_RULES, use_wrong_rules
 
 
 def bw(text: str) -> Biword:
@@ -51,11 +51,9 @@ def _leftmost(b: Biword, system) -> Expression:
     return Expression._make(rightq.rewrite._leftmost_nf((b.top, b.bottom), system))
 
 
-def test_system_lookup():
-    assert system_by_name("s") is SYSTEM_S
-    assert system_by_name("sq") is SYSTEM_SQ
-    with pytest.raises(ValueError):
-        system_by_name("plain")
+def test_unknown_system_tag_is_rejected():
+    with pytest.raises(ValueError, match="unknown reduction system 'plain'"):
+        rightq.rewrite.ReductionSystem("plain")
 
 
 def test_rule_outputs_plain():
@@ -69,6 +67,33 @@ def test_rule_outputs_weighted():
     assert rewrite_at(bw("32/21"), 1, SYSTEM_SQ) == ex(
         "23/12 + q*23/21 - q^-1*32/12"
     )
+
+
+def _factors(stencil) -> bool:
+    """Whether each relation pair - replacement, with t, b the pair's top
+    and bottom words and s their letter swap, is (t - q st) (x) (b + q^-1 sb)
+    for a > b and (t - q st) (x) b for a = b, with Laurent coefficients."""
+    top = {0: ONE, 1: -Q}
+    for equal, rules in stencil.items():
+        relation = {(0, 0): ONE}
+        for ti, bi, c, _ in rules:
+            relation[ti, bi] = relation.get((ti, bi), 0) - c
+        bottom = {0: ONE} if equal else {0: ONE, 1: Q_INV}
+        product = {(i, j): t * b for i, t in top.items() for j, b in bottom.items()}
+        if {key: c for key, c in relation.items() if c} != product:
+            return False
+    return True
+
+
+def test_rule_table_is_a_tensor_product():
+    assert set(SYSTEM_SQ.stencil) == {True, False}
+    assert _factors(SYSTEM_SQ.stencil)
+
+
+@pytest.mark.parametrize("change", WRONG_RULES.values(), ids=list(WRONG_RULES))
+def test_a_wrong_table_is_no_tensor_product(monkeypatch, change):
+    use_wrong_rules(monkeypatch, change)
+    assert not _factors(SYSTEM_SQ.stencil)
 
 
 def test_rules_act_locally_in_context():
@@ -136,7 +161,7 @@ def test_random_strategy_trace_is_pinned():
     # Recorded before the worklist moved to row pairs: the order within a
     # measure level decides which biword draws each random position.
     e = ex("321/221 + 4321/1111")
-    report = reduce(e, SYSTEM_S, random_strategy(7), keep_trace=True)
+    report = reduce(e, SYSTEM_S, Strategy("random", 7), keep_trace=True)
     assert [(str(s.biword), s.position, s.rule) for s in report.trace] == [
         ("4321/1111", 2, "swap"),
         ("4231/1111", 1, "swap"),
@@ -161,7 +186,15 @@ def test_random_strategy_trace_is_pinned():
 def test_unknown_strategy_kind_is_rejected():
     with pytest.raises(ValueError, match="leftmost, rightmost or random"):
         Strategy("bogus")
-    assert Strategy("random", 3) == random_strategy(3)
+    # A random strategy takes an int seed and no other kind takes one, so
+    # no two values name one reduction and none reads the OS's entropy.
+    for seed in (None, True, 7.0, "7"):
+        with pytest.raises(ValueError, match="random strategy needs an int seed"):
+            Strategy("random", seed)
+    for kind in ("leftmost", "rightmost"):
+        with pytest.raises(ValueError, match=f"{kind} strategy takes no seed"):
+            Strategy(kind, 5)
+    assert Strategy("random", 3) == Strategy("random", 3) != Strategy("random", 4)
 
 
 def test_reduce_on_irreducible_input_is_identity():
@@ -382,7 +415,8 @@ def test_strategies_agree_exhaustively_small():
             canonical = _leftmost(b, system)
             single = Expression.single(b)
             assert reduce(single, system, RIGHTMOST).normal_form == canonical
-            assert reduce(single, system, random_strategy(99)).normal_form == canonical
+            random_nf = reduce(single, system, Strategy("random", 99)).normal_form
+            assert random_nf == canonical
 
 
 def test_leftmost_memo_is_stable():
@@ -589,6 +623,41 @@ def test_one_memo_fill_stores_at_most_the_term_cap(monkeypatch):
         monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 1_048)
         with pytest.raises(TermCapExceeded, match="stored terms"):
             in_ideal(small, system)
+    rightq.rewrite.clear_caches()
+
+
+def test_each_memo_holds_at_most_twice_the_term_cap(monkeypatch):
+    # Filling 4321/4321 stores 1,049 terms in 255 entries, and 21/11 two
+    # more (12/11, and 21/11 sharing its dict).  Once a system's fills
+    # have stored more than the cap, its next fill empties its memo first.
+    rows = {text: (bw(text).top, bw(text).bottom) for text in ("4321/4321", "21/11")}
+    memo = rightq.rewrite._NF_CACHES
+    rightq.rewrite.clear_caches()
+    monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 1_049)
+    _leftmost(bw("4321/4321"), SYSTEM_S)
+    _leftmost(bw("21/11"), SYSTEM_S)  # 1,051 stored: over the cap
+    _leftmost(bw("4321/4321"), SYSTEM_SQ)  # the other system's own total
+    assert (len(memo[SYSTEM_S]), len(memo[SYSTEM_SQ])) == (257, 255)
+    _leftmost(bw("4321/4321"), SYSTEM_S)  # a cached lookup empties nothing
+    assert len(memo[SYSTEM_S]) == 257
+    assert _leftmost(bw("31/11"), SYSTEM_S) == ex("13/11")
+    assert set(memo[SYSTEM_S]) == {((3, 1), (1, 1)), ((1, 3), (1, 1))}
+    assert len(memo[SYSTEM_SQ]) == 255
+    # An aborted fill counts what it stored.
+    rightq.rewrite.clear_caches()
+    monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 1_048)
+    with pytest.raises(TermCapExceeded, match="stored terms"):
+        _leftmost(bw("4321/4321"), SYSTEM_S)
+    _leftmost(bw("21/11"), SYSTEM_S)
+    assert set(memo[SYSTEM_S]) == {rows["21/11"], ((1, 2), (1, 1))}
+    # clear_caches resets the count along with the memo.
+    rightq.rewrite.clear_caches()
+    monkeypatch.setattr(rightq.rewrite, "DEFAULT_TERM_CAP", 1_049)
+    _leftmost(bw("4321/4321"), SYSTEM_S)
+    rightq.rewrite.clear_caches()
+    _leftmost(bw("4321/4321"), SYSTEM_S)
+    _leftmost(bw("21/11"), SYSTEM_S)
+    assert {rows["4321/4321"], rows["21/11"]} <= memo[SYSTEM_S].keys()
     rightq.rewrite.clear_caches()
 
 
