@@ -9,10 +9,10 @@ of irreducible biwords obtained by brute enumeration, and a closed form.
 A rule only rearranges the letters within each row of a biword, so
 every relation row is supported inside one content block: the biwords
 whose top word has letter multiplicities alpha and whose bottom word
-has multiplicities beta.  The oracle builds, ranks and discards one
-(alpha, beta) block at a time and sums the ranks, so memory follows the
-largest block (4,900 of the 65,536 columns for r = 2, n = 8), not the
-whole matrix.  enumerate_biwords, count_irreducible, relation_matrix,
+has multiplicities beta.  The oracle ranks one (alpha, beta) block at
+a time and sums the ranks, so memory follows one block (at most 4,900
+of the 65,536 columns for r = 2, n = 8), not the whole matrix.
+enumerate_biwords, count_irreducible, relation_matrix,
 check_basis_dimension and spanning_rank all enter through _blocks,
 which checks r, the degree and the one column budget, DEFAULT_BUDGET,
 then walks the blocks lazily.  Nothing is lost: eliminating a row only
@@ -38,35 +38,54 @@ codimension is still compared with its own closed form, and the brute
 count still enumerates the whole degree; relation_matrix and
 spanning_rank still walk every block.
 
-check_basis_dimension also drops, in each block, the rows that linear
-algebra alone shows are redundant: the "disjoint ambiguities resolve
-trivially" step of Bergman's diamond lemma ("The diamond lemma for ring
-theory", 1978), used only to skip rows already in the span, never to
-assume the irreducible basis.  The rules at two double descents p0 and
-p' >= p0 + 2 of a biword w rearrange disjoint pairs of positions, so
-they commute, and row(w, p') - row(w, p0) is a combination of the rows
-at p' and at p0 of the terms of the two replacements, which lie in w's
-block at a lower measure.  By induction on the measure, each biword's
-rows at its leftmost double descent p0 and, if it is one, at p0 + 1
-span all of its rows.  In the double-descent mask m of a biword these
-are the bits m & ((m & -m) * 3).  At r = 2 no two double descents are
-adjacent (x > y > z needs three letters), so each reducible biword
-keeps one row, led by its own column: the kept rows are triangular and
-elimination reduces none of them.  At r >= 3 the work that can tell a
-wrong table from the right one is in the overlap rows, the pairs at
-p0 and p0 + 1.  Like the mirror pairing, this uses only the stencil's
-shape, so it holds at every q and for any table of that shape.
+check_basis_dimension eliminates only the rows that can fail.  Call
+the relation row of a reducible biword w at its leftmost double descent
+p0 its leftmost row, and, when p0 + 1 is a double descent too, its row
+there its overlap row.  The other rows are redundant: the "disjoint
+ambiguities resolve trivially" step of Bergman's diamond lemma ("The
+diamond lemma for ring theory", 1978), used only to skip rows already
+in the span, never to assume the irreducible basis.  The rules at two
+double descents p0 and p' >= p0 + 2 of w rearrange disjoint pairs of
+positions, so they commute, and row(w, p') - row(w, p0) is a
+combination of the rows at p' and at p0 of the terms of the two
+replacements, which lie in w's block at a lower measure.  By induction
+on the measure, the leftmost and overlap rows span each block.  Every
+term of a row of w but w itself has a lower measure, so the row leads
+with w's own column: the leftmost rows, one per reducible biword, are
+triangular and independent with no arithmetic.  A block's rank is
+therefore its count of reducible biwords plus the rank its overlap rows
+add to the leftmost rows.  Only the overlap rows are eliminated; a
+leftmost row is built from its lead's column key when an overlap row
+first needs it as a pivot, and a nonzero remainder, left at an
+irreducible lead, is an extra pivot.  So match holds exactly when no
+overlap row leaves a remainder and each block's irreducible count equals
+its closed form.  At
+r = 2 no two double descents are adjacent (x > y > z needs three
+letters), so there are no overlap rows and each block's rank is its
+reducible count; the work that can tell a wrong table from the right
+one starts at r = 3.  Like the mirror pairing, this uses only the
+stencil's shape, so it holds at every q and for any table of that shape.
+
+Reducing an overlap row against the triangular leftmost rows, highest
+measure first, is the rewrite worklist's leftmost reduction of that
+relation, so match says that every overlap resolves in every context:
+what the ambiguity check and the diamond lemma already say.  The rank is
+an independent implementation of that statement, with its own stencil at
+a rational q and its own integer elimination, not an independent
+argument.  The closed form below is the independent argument.
 
 Rows at a rational evaluation point q = p/s are scaled by p*s (and the
 two-term rows by s) to clear denominators; row scaling leaves the rank
-unchanged.  rank eliminates fraction-free on one copy of each input row,
+unchanged.  rank and check_basis_dimension share one elimination loop,
+_eliminate.  It works fraction-free on one copy of each input row,
 subtracting pivots from it in place and dividing out its content only
-as it becomes a pivot.  It pivots on the column of highest termination
-measure so that fill-in follows the same downhill structure the rewrite
-rules do.  That order needs no sort: column j, top
-word t over bottom word b, gets the key j - (inv(t) + imv(b)) * r^(2n),
-and the blocked oracle names each column by its key, so that a row's
-pivot is its smallest column.
+as it becomes a pivot, and check_basis_dimension gives it a pivot
+lookup, asked only at a lead with no pivot yet.  It pivots on the
+column of highest termination measure so that fill-in follows the same
+downhill structure the rewrite rules do.  That order needs no sort:
+column j, top word t over bottom word b, gets the key
+j - (inv(t) + imv(b)) * r^(2n), and the blocked oracle names each
+column by its key, so that a row's pivot is its smallest column.
 
 The third route is a closed form per block.  The irreducible count of
 block (alpha, beta) is the coefficient of x^alpha y^beta in
@@ -186,50 +205,96 @@ def _blocks(r: int, n: int):
     return words, tops, bottoms, blocks
 
 
-def _relation_blocks(words, tops, bottoms, blocks, q: Fraction, pruned=False):
+class _RelationRows:
+    """The relation rows of one degree at q, built one at a time.
+
+    Each column is named by its pivot key (see _column_keys), so a row's
+    lead is its smallest key.  strict[k] and weak[k] are the strict and
+    weak descent masks of word k; a biword's double descents are the bits
+    of strict[t] & weak[b].
+    """
+
+    def __init__(
+        self, words: list[Word], tops: list[int], bottoms: list[int], q: Fraction
+    ):
+        index = {w: k for k, w in enumerate(words)}
+        self.tops, self.bottoms = tops, bottoms
+        self.size = len(words)
+        self.stencil = _relation_stencil(q)
+        self.strict = [descent_mask(w) for w in words]
+        self.weak = [descent_mask(w, weak=True) for w in words]
+        # word k with its letters i and i + 1 swapped, for each i
+        self.swapped = [
+            [index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]] for i in range(len(w) - 1)]
+            for w in words
+        ]
+
+    def at(self, t: int, b: int, i: int) -> dict[int, int]:
+        """The row of top word t over bottom word b at its double descent i."""
+        t2, b2 = self.swapped[t][i], self.swapped[b][i]
+        key_t = self.tops[t], self.tops[t2]
+        key_b = self.bottoms[b], self.bottoms[b2]
+        return {key_t[ti] + key_b[bi]: c for ti, bi, c in self.stencil[b == b2] if c}
+
+    def leftmost(self, key: int):
+        """The row at the leftmost double descent of the biword whose
+        column has this key, or None if that biword is irreducible."""
+        t, b = divmod(key % (self.size * self.size), self.size)
+        placed = self.strict[t] & self.weak[b]
+        return self.at(t, b, (placed & -placed).bit_length() - 1) if placed else None
+
+
+def _relation_blocks(words, tops, bottoms, blocks, q: Fraction):
     """Yield (alpha, beta, columns, rows) for each block of _blocks in turn.
 
     columns is the number of biwords in the block.  rows are its
     relation rows, one per biword and double-descent position, with each
     column named by its pivot key, so that a row's pivot is its minimum.
-    If pruned, a biword keeps only the rows at its leftmost double descent
-    p0 and, if it is one too, at p0 + 1; the rows dropped lie in the span
-    of the rows kept (see check_basis_dimension).
     """
-    stencil = _relation_stencil(q)
-    index = {w: k for k, w in enumerate(words)}
-
-    def swaps(w: Word, weak: bool) -> tuple[int, dict[int, int]]:
-        # The descent mask, and descent position i -> index of w with
-        # letters i and i + 1 swapped.
-        mask = descent_mask(w, weak)
-        return mask, {
-            i: index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]]
-            for i in range(len(w) - 1)
-            if mask >> i & 1
-        }
-
-    strict = [swaps(w, False) for w in words]
-    weak = [swaps(w, True) for w in words]
+    rows = _RelationRows(words, tops, bottoms, q)
+    strict, weak, positions = rows.strict, rows.weak, range(len(words[0]) - 1)
     for alpha, beta, top_class, bottom_class in blocks:
-        rows = []
+        block = []
         for t in top_class:
-            top_mask, top_swaps = strict[t]
             for b in bottom_class:
-                bottom_mask, bottom_swaps = weak[b]
+                placed = strict[t] & weak[b]
+                block += [rows.at(t, b, i) for i in positions if placed >> i & 1]
+        yield alpha, beta, len(top_class) * len(bottom_class), block
+
+
+def _block_ranks(words, tops, bottoms, blocks, q: Fraction):
+    """Yield (alpha, beta, columns, reducible, extra) for each block of _blocks.
+
+    The block's rank is reducible + extra (see check_basis_dimension).
+    reducible counts its biwords with a double descent, from the top
+    words grouped by strict descent mask and the bottom words by weak
+    descent mask.  extra is the rank its overlap rows add to the leftmost
+    rows: each overlap row is eliminated, and each leftmost row is built
+    only when a lead needs it as a pivot.
+    """
+    rows = _RelationRows(words, tops, bottoms, q)
+
+    def by_mask(indices, masks):
+        groups: dict[int, list[int]] = {}
+        for k in indices:
+            groups.setdefault(masks[k], []).append(k)
+        return groups.items()
+
+    for alpha, beta, top_class, bottom_class in blocks:
+        reducible = 0
+        overlaps = []
+        bottom_groups = by_mask(bottom_class, rows.weak)
+        for top_mask, ts in by_mask(top_class, rows.strict):
+            for bottom_mask, bs in bottom_groups:
                 placed = top_mask & bottom_mask
-                if pruned:
-                    placed &= (placed & -placed) * 3
-                for i, t2 in top_swaps.items():
-                    if not placed >> i & 1:
-                        continue
-                    b2 = bottom_swaps[i]
-                    key_t = tops[t], tops[t2]
-                    key_b = bottoms[b], bottoms[b2]
-                    rows.append(
-                        {key_t[ti] + key_b[bi]: c for ti, bi, c in stencil[b == b2]}
-                    )
-        yield alpha, beta, len(top_class) * len(bottom_class), rows
+                if placed:
+                    reducible += len(ts) * len(bs)
+                    low = placed & -placed
+                    if placed & low << 1:
+                        i = low.bit_length()  # p0 + 1
+                        overlaps += [rows.at(t, b, i) for t in ts for b in bs]
+        extra = _eliminate(overlaps, {}, lookup=rows.leftmost)
+        yield alpha, beta, len(top_class) * len(bottom_class), reducible, extra
 
 
 def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
@@ -259,26 +324,42 @@ def rank(rows: list[dict[int, int]], priority=None) -> int:
     priority, if given, maps a column index to its pivoting key; smaller
     keys are eliminated first, and without it the smallest column index
     is.  The rank does not depend on it, only the amount of fill-in does.
-
-    The input rows are never mutated.  Each is copied once, without its
-    zeros.  Against the pivot of its lead column, with leads a and b and
-    g = gcd(a, b), the copy is scaled by a // g only if a does not divide
-    b, then loses b // g times the pivot in place.  A row becomes a pivot
-    divided by its content gcd, signed so that its lead is positive.
+    The input rows are never mutated; see _eliminate.
     """
     key = None if priority is None else priority.__getitem__
-    pivots: dict[int, dict[int, int]] = {}
+    return _eliminate(rows, {}, key)
+
+
+def _eliminate(rows, pivots: dict[int, dict[int, int]], key=None, lookup=None) -> int:
+    """Reduce a copy of each row against pivots; return how many become pivots.
+
+    Each row is copied once, without its zeros, and its lead is its
+    smallest column under key.  Where pivots has no row for a lead,
+    lookup (if given) is asked for one: a row it returns is stored as
+    that lead's pivot and used, and None leaves the lead free.  Against
+    the pivot of its lead, with leads a and b and g = gcd(a, b), the copy
+    is scaled by a // g only if a does not divide b, then loses b // g
+    times the pivot in place.  A copy left at a free lead becomes its
+    pivot, divided by its content gcd and signed so that its lead is
+    positive.
+    """
+    added = 0
     for row in rows:
         row = {j: v for j, v in row.items() if v}
         while row:
             lead = min(row, key=key)
             pivot = pivots.get(lead)
+            if pivot is None and lookup is not None:
+                pivot = lookup(lead)
+                if pivot is not None:
+                    pivots[lead] = pivot
             if pivot is None:
                 g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
                 if g != 1:
                     for j in row:
                         row[j] //= g
                 pivots[lead] = row
+                added += 1
                 break
             a = pivot[lead]
             b = row[lead]
@@ -293,7 +374,7 @@ def rank(rows: list[dict[int, int]], priority=None) -> int:
                     row[j] = w
                 else:
                     del row[j]
-    return len(pivots)
+    return added
 
 
 def _measure_priority(r: int, n: int) -> list[int]:
@@ -368,13 +449,12 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     coefficients, whatever the rule table's values.  Each block's
     codimension is still compared with its own closed form.
 
-    Within a block only some rows are built and ranked.  Write
-    row(w, p) = w - R_p(w) for the relation placed at a double descent
-    p of w, before its rows are scaled, where R_p(w) = sum_k c_k u_k is
-    the rule's replacement of the pair at p.  Let p0 be w's leftmost
-    double descent and p' >= p0 + 2 another.  The rules at p0 and p'
-    rearrange disjoint pairs of positions, so R_p' R_p0 w = R_p0 R_p' w,
-    which is the identity
+    Within a block, write row(w, p) = w - R_p(w) for the relation placed
+    at a double descent p of w, before its rows are scaled, where
+    R_p(w) = sum_k c_k u_k is the rule's replacement of the pair at p.
+    Let p0 be w's leftmost double descent and p' >= p0 + 2 another.  The
+    rules at p0 and p' rearrange disjoint pairs of positions, so
+    R_p' R_p0 w = R_p0 R_p' w, which is the identity
 
         row(w, p') - row(w, p0)
             = sum_k c_k row(u_k, p') - sum_l c'_l row(v_l, p0)
@@ -382,11 +462,18 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     with u_k, c_k the terms of R_p0(w) and v_l, c'_l those of R_p'(w).
     Each u_k keeps the double descent at p', each v_l the one at p0,
     and all lie in w's block at a lower measure than w.  By induction on
-    the measure, every row then lies in the span of the rows kept: the
-    one at p0, and the one at p0 + 1 when that is a double descent too.
-    So the kept rows have the rank of the whole block.  The argument
-    uses only the shape of the stencil, never its values, so like the
-    mirror it holds at every q and for a wrong table.
+    the measure, every row then lies in the span of the leftmost rows,
+    row(w, p0), and the overlap rows, row(w, p0 + 1) where p0 + 1 is a
+    double descent too.  Each leads with w's own column, so the leftmost
+    rows are triangular and the block's rank is its reducible count plus
+    what the overlap rows add.  Only those are eliminated, each against
+    leftmost rows built from their lead's column key, j = key mod r^(2n)
+    and (top, bottom) = divmod(j, r^n), when it first needs them.  At
+    r = 2 there are none.  The argument uses only the shape of the
+    stencil, never its values, so like the mirror it holds at every q
+    and for a wrong table.  It makes the rank an independent
+    implementation of "every overlap resolves", not an independent
+    argument; the closed form is the independent argument.
     """
     words, *walk, blocks = _blocks(r, n)
     q = _as_q(q_value)
@@ -395,9 +482,10 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     relation_rank = closed_form = 0
     blocks_agree = True
     memo: dict = {}
-    kept = _relation_blocks(words, *walk, ranked, q, pruned=True)
-    for alpha, beta, columns, rows in kept:
-        block_rank = rank(rows)
+    for alpha, beta, columns, reducible, extra in _block_ranks(
+        words, *walk, ranked, q
+    ):
+        block_rank = reducible + extra
         for pair in {(alpha, beta), (alpha[::-1], beta[::-1])}:
             expected = _closed_form(*pair, memo)
             relation_rank += block_rank

@@ -28,8 +28,11 @@ from rightq import (
     spanning_rank,
 )
 from rightq.basis_oracle import (
+    _RelationRows,
+    _block_ranks,
     _blocks,
     _closed_form,
+    _column_keys,
     _measure_priority,
     _relation_blocks,
     _relation_stencil,
@@ -467,36 +470,36 @@ def test_closed_form_disagreement_breaks_match(monkeypatch, shifts):
 
 
 @pytest.mark.parametrize(
-    "r, n, calls, rows",
-    [(2, 3, 8, 12), (3, 3, 52, 174), (3, 4, 117, 2139), (2, 8, 41, 29978)],
+    "r, n, blocks, overlap_rows",
+    [(2, 3, 8, 0), (3, 3, 52, 6), (3, 4, 117, 96), (2, 8, 41, 0)],
     ids=["2-3-8", "3-3-52", "3-4-117", "2-8-41"],
 )
 def test_check_basis_dimension_ranks_once_per_mirror_pair(
-    monkeypatch, r, n, calls, rows
+    monkeypatch, r, n, blocks, overlap_rows
 ):
     # 16 blocks, none self-mirror; 100 blocks, 4 of them self-mirror;
     # 225 blocks, 9 of them self-mirror; 81 blocks, 1 of them self-mirror.
-    # Only the rows at each biword's leftmost double descent and the one
-    # after it are ranked: 2,139 of the 2,313 rows of the ranked blocks
-    # at r = 3, n = 4, and 29,978 of 46,508 at r = 2, n = 8.
+    # Each ranked block eliminates only its overlap rows, against leftmost
+    # rows built on demand: 96 rows at r = 3, n = 4, and none at r = 2,
+    # where no two double descents are adjacent.  No overlap row leaves
+    # a remainder, so no block adds an extra pivot.
     whole = rank(relation_matrix(r, n), _measure_priority(r, n))
-    ranked = []
-    block_rank = basis_oracle.rank
+    eliminated = []
+    eliminate = basis_oracle._eliminate
 
-    def counted(rows, priority=None):
-        found = block_rank(rows, priority)
-        ranked.append((len(rows), found))
-        return found
+    def counted(rows, pivots, key=None, lookup=None):
+        rows = list(rows)
+        extra = eliminate(rows, pivots, key, lookup)
+        eliminated.append((len(rows), extra))
+        return extra
 
-    monkeypatch.setattr(basis_oracle, "rank", counted)
+    monkeypatch.setattr(basis_oracle, "_eliminate", counted)
     report = check_basis_dimension(r, n)
-    assert len(ranked) == calls
-    assert sum(size for size, _ in ranked) == rows
+    assert len(eliminated) == blocks
+    assert sum(size for size, _ in eliminated) == overlap_rows
+    assert not any(extra for _, extra in eliminated)
     assert report.relation_rank == whole
     assert report.match
-    if r == 2:
-        # No overlaps: every kept row is led by its own biword, a pivot.
-        assert all(size == found for size, found in ranked)
 
 
 def swapped(word, p):
@@ -559,10 +562,19 @@ def test_rows_at_disjoint_double_descents_differ_by_lower_rows(q):
     assert dropped == 324
 
 
-def block_ranks(r, n, q, pruned):
+def block_ranks(r, n, q):
+    """Each block's rank from all of its relation rows."""
     return [
         (alpha, beta, rank(rows))
-        for alpha, beta, _, rows in _relation_blocks(*_blocks(r, n), q, pruned)
+        for alpha, beta, _, rows in _relation_blocks(*_blocks(r, n), q)
+    ]
+
+
+def overlap_ranks(r, n, q):
+    """Each block's reducible count plus the rank its overlap rows add."""
+    return [
+        (alpha, beta, reducible + extra)
+        for alpha, beta, _, reducible, extra in _block_ranks(*_blocks(r, n), q)
     ]
 
 
@@ -572,7 +584,7 @@ _KEPT_CASES = [(3, n) for n in range(5)] + [(4, 3)]
 @pytest.mark.parametrize("q", [1, Fraction(3, 5), Fraction(-7, 2)])
 @pytest.mark.parametrize("r, n", _KEPT_CASES)
 def test_kept_rows_have_each_blocks_rank(r, n, q):
-    assert block_ranks(r, n, q, True) == block_ranks(r, n, q, False)
+    assert overlap_ranks(r, n, q) == block_ranks(r, n, q)
 
 
 @pytest.mark.parametrize("name", list(WRONG_RULES))
@@ -582,7 +594,7 @@ def test_kept_rows_have_each_blocks_rank_under_a_wrong_table(
 ):
     use_wrong_rules(monkeypatch, WRONG_RULES[name])
     q = Fraction(3, 5)
-    assert block_ranks(r, n, q, True) == block_ranks(r, n, q, False)
+    assert overlap_ranks(r, n, q) == block_ranks(r, n, q)
 
 
 # Integer tables of the stencil's shape; the pair's own coefficient is
@@ -598,7 +610,52 @@ def test_kept_rows_have_each_blocks_rank_under_any_table(a, b, c, d, e, f):
         False: [(0, 0, c), (1, 1, d), (1, 0, e), (0, 1, f)],
     }
     with mock.patch.object(basis_oracle, "_relation_stencil", lambda q: table):
-        assert block_ranks(3, 4, 1, True) == block_ranks(3, 4, 1, False)
+        assert overlap_ranks(3, 4, 1) == block_ranks(3, 4, 1)
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 5)], ids=["1", "3/5"])
+@pytest.mark.parametrize("r, n", [(3, n) for n in range(5)] + [(4, 3)])
+def test_leftmost_row_built_from_a_lead_key_is_the_relation_row(r, n, q):
+    # A reducible biword has a positive measure, so its pivot key is
+    # negative, and the decode takes j = key mod r^(2n) and
+    # (top, bottom) = divmod(j, r^n).
+    words, tops, bottoms = _column_keys(r, n)
+    rows = _RelationRows(words, tops, bottoms, q)
+    stencil = _relation_stencil(q)
+    size = len(words)
+    built = 0
+    for t, top in enumerate(words):
+        for b, bottom in enumerate(words):
+            key = tops[t] + bottoms[b]
+            row = rows.leftmost(key)
+            descents = [
+                i
+                for i in range(n - 1)
+                if top[i] > top[i + 1] and bottom[i] >= bottom[i + 1]
+            ]
+            if not descents:
+                assert row is None
+                continue
+            built += 1
+            assert key < 0 and min(row) == key
+            biwords = {k: divmod(k % (size * size), size) for k in row}
+            assert {
+                (words[t2], words[b2]): Fraction(row[k], row[key])
+                for k, (t2, b2) in biwords.items()
+            } == relation_row(stencil, (top, bottom), descents[0])
+    assert built == size * size - count_irreducible(r, n)
+
+
+def extra_pivots(r, n, q):
+    return [extra for *_, extra in _block_ranks(*_blocks(r, n), q)]
+
+
+@pytest.mark.parametrize("name", list(WRONG_RULES))
+def test_a_wrong_table_leaves_an_overlap_remainder(monkeypatch, name):
+    q = Fraction(3, 5)
+    assert not any(extra_pivots(3, 4, q))
+    use_wrong_rules(monkeypatch, WRONG_RULES[name])
+    assert any(extra_pivots(3, 4, q))
 
 
 @pytest.mark.parametrize("r, n", [(2, 4), (3, 3)])
