@@ -13,14 +13,15 @@ has multiplicities beta.  The oracle ranks one (alpha, beta) block at
 a time and sums the ranks, so memory follows one block (at most 4,900
 of the 65,536 columns for r = 2, n = 8), not the whole matrix.
 enumerate_biwords, count_irreducible, relation_matrix,
-check_basis_dimension and spanning_rank all enter through _blocks,
-which checks r, the degree and the one column budget, DEFAULT_BUDGET,
-then walks the blocks lazily.  Nothing is lost: eliminating a row only
-ever subtracts pivot rows that share its pivot column, hence its block,
-so the whole matrix's elimination never mixes blocks.
-relation_matrix lists the rows block by block in the order the blocks
-are walked, so ranking it whole does the blocked elimination step for
-step: the same fill-in and the same rank.
+check_basis_dimension, spanning_rank and _measure_priority all read one
+table per degree, _Degree, which checks r, the degree and the one column
+budget, DEFAULT_BUDGET, computes each word's descent masks once, and
+walks the blocks lazily.  Nothing is lost: eliminating a row only ever
+subtracts pivot rows that share its pivot column, hence its block, so
+the whole matrix's elimination never mixes blocks.  relation_matrix
+lists the rows block by block, and within a block by top word, bottom
+word and position; that order sets the fill-in of ranking it whole,
+never its rank.
 
 check_basis_dimension ranks one block of each mirror pair.  The mirror
 rho reverses both rows of a biword and replaces each letter x by
@@ -34,9 +35,9 @@ block (alpha reversed, beta reversed) by a column permutation, which
 keeps the rank.  This uses only the shape of the stencil, (top swapped,
 bottom swapped, coefficient), never its values, so it holds at every q
 and for any table of that shape, a wrong one included.  Each block's
-codimension is still compared with its own closed form, and the brute
-count still enumerates the whole degree; relation_matrix and
-spanning_rank still walk every block.
+codimension is compared with its own closed form, and the brute count
+enumerates the whole degree; relation_matrix and spanning_rank walk
+every block.
 
 check_basis_dimension eliminates only the rows that can fail.  Call
 the relation row of a reducible biword w at its leftmost double descent
@@ -44,27 +45,22 @@ p0 its leftmost row, and, when p0 + 1 is a double descent too, its row
 there its overlap row.  The other rows are redundant: the "disjoint
 ambiguities resolve trivially" step of Bergman's diamond lemma ("The
 diamond lemma for ring theory", 1978), used only to skip rows already
-in the span, never to assume the irreducible basis.  The rules at two
-double descents p0 and p' >= p0 + 2 of w rearrange disjoint pairs of
-positions, so they commute, and row(w, p') - row(w, p0) is a
-combination of the rows at p' and at p0 of the terms of the two
-replacements, which lie in w's block at a lower measure.  By induction
-on the measure, the leftmost and overlap rows span each block.  Every
-term of a row of w but w itself has a lower measure, so the row leads
-with w's own column: the leftmost rows, one per reducible biword, are
-triangular and independent with no arithmetic.  A block's rank is
-therefore its count of reducible biwords plus the rank its overlap rows
-add to the leftmost rows.  Only the overlap rows are eliminated; a
-leftmost row is built from its lead's column key when an overlap row
-first needs it as a pivot, and a nonzero remainder, left at an
-irreducible lead, is an extra pivot.  So match holds exactly when no
-overlap row leaves a remainder and each block's irreducible count equals
-its closed form.  At
-r = 2 no two double descents are adjacent (x > y > z needs three
-letters), so there are no overlap rows and each block's rank is its
-reducible count; the work that can tell a wrong table from the right
-one starts at r = 3.  Like the mirror pairing, this uses only the
-stencil's shape, so it holds at every q and for any table of that shape.
+in the span, never to assume the irreducible basis; check_basis_dimension
+gives the identity behind it.  Every term of a row of w but w itself
+has a lower measure, so the row leads with w's own column: the leftmost
+rows, one per reducible biword, are triangular and independent with no
+arithmetic.  A block's rank is therefore its count of reducible biwords
+plus the rank its overlap rows add to the leftmost rows.  Only the
+overlap rows are eliminated; a leftmost row is built from its lead's
+column key when an overlap row first needs it as a pivot, and a nonzero
+remainder, left at an irreducible lead, is an extra pivot.  So match
+holds exactly when no overlap row leaves a remainder and each block's
+irreducible count equals its closed form.  At r = 2 no two double
+descents are adjacent (x > y > z needs three letters), so there are no
+overlap rows and each block's rank is its reducible count; the work that
+can tell a wrong table from the right one starts at r = 3.  Like the
+mirror pairing, this uses only the stencil's shape, so it holds at every
+q and for any table of that shape.
 
 Reducing an overlap row against the triangular leftmost rows, highest
 measure first, is the rewrite worklist's leftmost reduction of that
@@ -101,31 +97,24 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .rewrite import SYSTEM_S, SYSTEM_SQ, _leftmost_nf
-from .words import Biword, Word, _at_least, descent_mask, imv, inv
+from .words import Biword, _at_least, descent_mask, imv, inv
 
 DEFAULT_BUDGET = 10**6
 
 
 def enumerate_biwords(r: int, n: int) -> list[Biword]:
     """All r^(2n) biwords of length n, by (top, bottom) lex, within the budget."""
-    words, *_ = _blocks(r, n)
+    words = _Degree(r, n).words
     return [Biword._make(top, bottom) for top in words for bottom in words]
 
 
 def count_irreducible(r: int, n: int) -> int:
     """Brute enumeration count of length-n biwords with no double descent."""
-    return _irreducible_count(_blocks(r, n)[0])
-
-
-def _irreducible_count(words: list[Word]) -> int:
-    """Biwords over words with no double descent: a top's strict descents
-    and a bottom's weak ones at disjoint positions, grouped by mask."""
-    strict = Counter(descent_mask(w) for w in words)
-    weak = Counter(descent_mask(w, weak=True) for w in words)
-    return sum(t * b for s, t in strict.items() for w, b in weak.items() if not s & w)
+    return _Degree(r, n).irreducible_count()
 
 
 def _as_q(q_value) -> Fraction:
@@ -162,117 +151,124 @@ def _relation_stencil(q: Fraction) -> dict[bool, list[tuple[int, int, int]]]:
     return stencil
 
 
-def _column_keys(r: int, n: int) -> tuple[list[Word], list[int], list[int]]:
-    """The length-n words in base-r order, with each word's share of a pivot key.
+class _Degree:
+    """The oracle's one entry: the length-n words over 1..r, as one table.
 
-    Column j = index(t) * r^n + index(b), top word t over bottom word b,
-    has the key tops[index(t)] + bottoms[index(b)], which is
-    j - (inv(t) + imv(b)) * r^(2n).  As j < r^(2n), the keys order
-    columns by (-inv_plus, j), and j is the key modulo r^(2n).
-    """
-    words = list(itertools.product(range(1, r + 1), repeat=n))
-    size = len(words)
-    ambient = size * size
-    tops = [k * size - inv(w) * ambient for k, w in enumerate(words)]
-    bottoms = [k - imv(w) * ambient for k, w in enumerate(words)]
-    return words, tops, bottoms
-
-
-def _blocks(r: int, n: int):
-    """The oracle's one entry: words, their pivot-key shares and a block walk.
-
-    r, n and the column budget DEFAULT_BUDGET are checked before any work.
-    The walk yields (alpha, beta, top indices, bottom indices) one block at
-    a time.
-    """
-    _at_least(1, r=r)
-    _at_least(0, degree=n)
-    ambient = r ** (2 * n)
-    if ambient > DEFAULT_BUDGET:
-        raise ValueError(
-            f"degree {n} over alphabet 1..{r} needs {ambient} columns, "
-            f"over the budget of {DEFAULT_BUDGET}"
-        )
-    words, tops, bottoms = _column_keys(r, n)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for k, w in enumerate(words):
-        classes.setdefault(tuple(map(w.count, range(1, r + 1))), []).append(k)
-    blocks = (
-        (alpha, beta, top_class, bottom_class)
-        for alpha, top_class in classes.items()
-        for beta, bottom_class in classes.items()
-    )
-    return words, tops, bottoms, blocks
-
-
-class _RelationRows:
-    """The relation rows of one degree at q, built one at a time.
-
-    Each column is named by its pivot key (see _column_keys), so a row's
-    lead is its smallest key.  strict[k] and weak[k] are the strict and
-    weak descent masks of word k; a biword's double descents are the bits
-    of strict[t] & weak[b].
+    r, n and the column budget DEFAULT_BUDGET are checked before any work;
+    ambient is the column count r^(2n).  words are in base-r order;
+    classes groups their indices by content; strict[k] and weak[k] are
+    word k's strict and weak descent masks, so a biword's double descents
+    are the bits of strict[t] & weak[b].  The pivot keys and the swap
+    index are built on first use.
     """
 
-    def __init__(
-        self, words: list[Word], tops: list[int], bottoms: list[int], q: Fraction
-    ):
-        index = {w: k for k, w in enumerate(words)}
-        self.tops, self.bottoms = tops, bottoms
-        self.size = len(words)
-        self.stencil = _relation_stencil(q)
-        self.strict = [descent_mask(w) for w in words]
-        self.weak = [descent_mask(w, weak=True) for w in words]
-        # word k with its letters i and i + 1 swapped, for each i
-        self.swapped = [
+    def __init__(self, r: int, n: int):
+        _at_least(1, r=r)
+        _at_least(0, degree=n)
+        self.ambient = r ** (2 * n)
+        if self.ambient > DEFAULT_BUDGET:
+            raise ValueError(
+                f"degree {n} over alphabet 1..{r} needs {self.ambient} columns, "
+                f"over the budget of {DEFAULT_BUDGET}"
+            )
+        self.words = list(itertools.product(range(1, r + 1), repeat=n))
+        self.classes: dict[tuple[int, ...], list[int]] = {}
+        for k, w in enumerate(self.words):
+            self.classes.setdefault(tuple(map(w.count, range(1, r + 1))), []).append(k)
+        self.strict = [descent_mask(w) for w in self.words]
+        self.weak = [descent_mask(w, weak=True) for w in self.words]
+
+    def blocks(self):
+        """Yield (alpha, beta, top indices, bottom indices), one block at a time."""
+        classes = self.classes.items()
+        return ((alpha, beta, ts, bs) for alpha, ts in classes for beta, bs in classes)
+
+    def irreducible_count(self) -> int:
+        """Biwords with no double descent: a top's strict descents and a
+        bottom's weak ones at disjoint positions, grouped by mask."""
+        strict, weak = Counter(self.strict).items(), Counter(self.weak).items()
+        return sum(t * b for s, t in strict for w, b in weak if not s & w)
+
+    @cached_property
+    def keys(self) -> tuple[list[int], list[int]]:
+        """Each word's share of a pivot key, as a top word and as a bottom word.
+
+        Column j = t * r^n + b has the key tops[t] + bottoms[b]; as
+        j < r^(2n), the keys order columns by (-inv_plus, j), and j is the
+        key modulo r^(2n).
+        """
+        size, ambient = len(self.words), self.ambient
+        tops = [k * size - inv(w) * ambient for k, w in enumerate(self.words)]
+        bottoms = [k - imv(w) * ambient for k, w in enumerate(self.words)]
+        return tops, bottoms
+
+    @cached_property
+    def swapped(self) -> list[list[int]]:
+        """swapped[k][i] is word k with its letters i and i + 1 swapped."""
+        index = {w: k for k, w in enumerate(self.words)}
+        return [
             [index[w[:i] + (w[i + 1], w[i]) + w[i + 2 :]] for i in range(len(w) - 1)]
-            for w in words
+            for w in self.words
         ]
 
-    def at(self, t: int, b: int, i: int) -> dict[int, int]:
-        """The row of top word t over bottom word b at its double descent i."""
-        t2, b2 = self.swapped[t][i], self.swapped[b][i]
-        key_t = self.tops[t], self.tops[t2]
-        key_b = self.bottoms[b], self.bottoms[b2]
-        return {key_t[ti] + key_b[bi]: c for ti, bi, c in self.stencil[b == b2] if c}
+    def rows(self, q: Fraction):
+        """(at, leftmost): the relation rows at q, built one at a time.
 
-    def leftmost(self, key: int):
-        """The row at the leftmost double descent of the biword whose
-        column has this key, or None if that biword is irreducible."""
-        t, b = divmod(key % (self.size * self.size), self.size)
-        placed = self.strict[t] & self.weak[b]
-        return self.at(t, b, (placed & -placed).bit_length() - 1) if placed else None
+        at(t, b, i) is the row of top word t over bottom word b at its
+        double descent i, with each column named by its pivot key, so a
+        row's lead is its smallest key.  leftmost(key) is the row at the
+        leftmost double descent of the biword whose column has this key,
+        or None if that biword is irreducible.
+        """
+        (tops, bottoms), swapped = self.keys, self.swapped
+        strict, weak, size, ambient = self.strict, self.weak, len(tops), self.ambient
+        stencil = _relation_stencil(q)
+
+        def at(t: int, b: int, i: int) -> dict[int, int]:
+            t2, b2 = swapped[t][i], swapped[b][i]
+            key_t = tops[t], tops[t2]
+            key_b = bottoms[b], bottoms[b2]
+            return {key_t[ti] + key_b[bi]: c for ti, bi, c in stencil[b == b2] if c}
+
+        def leftmost(key: int):
+            t, b = divmod(key % ambient, size)
+            placed = strict[t] & weak[b]
+            return at(t, b, (placed & -placed).bit_length() - 1) if placed else None
+
+        return at, leftmost
 
 
-def _relation_blocks(words, tops, bottoms, blocks, q: Fraction):
-    """Yield (alpha, beta, columns, rows) for each block of _blocks in turn.
+def _relation_blocks(table: _Degree, q: Fraction):
+    """Yield (alpha, beta, rows) for each block of table in turn.
 
-    columns is the number of biwords in the block.  rows are its
-    relation rows, one per biword and double-descent position, with each
-    column named by its pivot key, so that a row's pivot is its minimum.
+    rows are the block's relation rows, one per biword and double-descent
+    position, by top word, bottom word and position, with each column
+    named by its pivot key, so that a row's pivot is its minimum.
     """
-    rows = _RelationRows(words, tops, bottoms, q)
-    strict, weak, positions = rows.strict, rows.weak, range(len(words[0]) - 1)
-    for alpha, beta, top_class, bottom_class in blocks:
+    at, _ = table.rows(q)
+    strict, weak, positions = table.strict, table.weak, range(len(table.words[0]) - 1)
+    for alpha, beta, top_class, bottom_class in table.blocks():
         block = []
         for t in top_class:
             for b in bottom_class:
                 placed = strict[t] & weak[b]
-                block += [rows.at(t, b, i) for i in positions if placed >> i & 1]
-        yield alpha, beta, len(top_class) * len(bottom_class), block
+                block += [at(t, b, i) for i in positions if placed >> i & 1]
+        yield alpha, beta, block
 
 
-def _block_ranks(words, tops, bottoms, blocks, q: Fraction):
-    """Yield (alpha, beta, columns, reducible, extra) for each block of _blocks.
+def _block_ranks(table: _Degree, blocks, q: Fraction):
+    """Yield (alpha, beta, columns, reducible, extra) for each block in blocks,
+    a walk of table's blocks.
 
     The block's rank is reducible + extra (see check_basis_dimension).
     reducible counts its biwords with a double descent, from the top
     words grouped by strict descent mask and the bottom words by weak
     descent mask.  extra is the rank its overlap rows add to the leftmost
     rows: each overlap row is eliminated, and each leftmost row is built
-    only when a lead needs it as a pivot.
+    only when a lead needs it as a pivot.  table.rows(q), which builds the
+    key and swap tables, waits for the first overlap row: r = 2 has none.
     """
-    rows = _RelationRows(words, tops, bottoms, q)
+    at = leftmost = None
 
     def by_mask(indices, masks):
         groups: dict[int, list[int]] = {}
@@ -283,17 +279,19 @@ def _block_ranks(words, tops, bottoms, blocks, q: Fraction):
     for alpha, beta, top_class, bottom_class in blocks:
         reducible = 0
         overlaps = []
-        bottom_groups = by_mask(bottom_class, rows.weak)
-        for top_mask, ts in by_mask(top_class, rows.strict):
+        bottom_groups = by_mask(bottom_class, table.weak)
+        for top_mask, ts in by_mask(top_class, table.strict):
             for bottom_mask, bs in bottom_groups:
                 placed = top_mask & bottom_mask
                 if placed:
                     reducible += len(ts) * len(bs)
                     low = placed & -placed
                     if placed & low << 1:
+                        if at is None:
+                            at, leftmost = table.rows(q)
                         i = low.bit_length()  # p0 + 1
-                        overlaps += [rows.at(t, b, i) for t in ts for b in bs]
-        extra = _eliminate(overlaps, {}, lookup=rows.leftmost)
+                        overlaps += [at(t, b, i) for t in ts for b in bs]
+        extra = _eliminate(overlaps, {}, lookup=leftmost)
         yield alpha, beta, len(top_class) * len(bottom_class), reducible, extra
 
 
@@ -304,16 +302,17 @@ def relation_matrix(r: int, n: int, q_value="one") -> list[dict[int, int]]:
     is column index(t) * r^n + index(b), where index reads a word as a
     base-r numeral with digits letter - 1.  One row per placement of a
     reducible pair between a left and a right context; n < 2 gives no
-    rows.  Rows come one content block after another, in the order the
-    blocked oracle ranks them.  Like the other entries, it refuses more
-    than DEFAULT_BUDGET columns.
+    rows.  Rows come one content block after another, and within a block
+    by top word, bottom word and position; that order sets the fill-in of
+    ranking them whole.  Like the other entries, it refuses more than
+    DEFAULT_BUDGET columns.
     """
-    walk = _blocks(r, n)
+    table = _Degree(r, n)
     q = _as_q(q_value)
-    ambient = r ** (2 * n)
+    ambient = table.ambient
     return [
         {key % ambient: c for key, c in row.items()}
-        for *_, rows in _relation_blocks(*walk, q)
+        for *_, rows in _relation_blocks(table, q)
         for row in rows
     ]
 
@@ -379,7 +378,7 @@ def _eliminate(rows, pivots: dict[int, dict[int, int]], key=None, lookup=None) -
 
 def _measure_priority(r: int, n: int) -> list[int]:
     # Pivot on high-measure columns first; mirrors the rewrite direction.
-    _, tops, bottoms = _column_keys(r, n)
+    tops, bottoms = _Degree(r, n).keys
     return [t + b for t in tops for b in bottoms]
 
 
@@ -447,7 +446,7 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     for both blocks, since the mirror (reverse both rows, x -> r + 1 - x)
     maps each block's relation rows onto its partner's with the same
     coefficients, whatever the rule table's values.  Each block's
-    codimension is still compared with its own closed form.
+    codimension is compared with its own closed form.
 
     Within a block, write row(w, p) = w - R_p(w) for the relation placed
     at a double descent p of w, before its rows are scaled, where
@@ -475,28 +474,25 @@ def check_basis_dimension(r: int, n: int, q_value="one") -> DimensionReport:
     implementation of "every overlap resolves", not an independent
     argument; the closed form is the independent argument.
     """
-    words, *walk, blocks = _blocks(r, n)
+    table = _Degree(r, n)
     q = _as_q(q_value)
-    ambient = r ** (2 * n)
-    ranked = (b for b in blocks if b[:2] <= (b[0][::-1], b[1][::-1]))
+    ranked = (b for b in table.blocks() if b[:2] <= (b[0][::-1], b[1][::-1]))
     relation_rank = closed_form = 0
     blocks_agree = True
     memo: dict = {}
-    for alpha, beta, columns, reducible, extra in _block_ranks(
-        words, *walk, ranked, q
-    ):
+    for alpha, beta, columns, reducible, extra in _block_ranks(table, ranked, q):
         block_rank = reducible + extra
         for pair in {(alpha, beta), (alpha[::-1], beta[::-1])}:
             expected = _closed_form(*pair, memo)
             relation_rank += block_rank
             closed_form += expected
             blocks_agree = blocks_agree and columns - block_rank == expected
-    quotient = ambient - relation_rank
-    irreducible = _irreducible_count(words)
+    quotient = table.ambient - relation_rank
+    irreducible = table.irreducible_count()
     return DimensionReport(
         r=r,
         degree=n,
-        ambient_dim=ambient,
+        ambient_dim=table.ambient,
         relation_rank=relation_rank,
         quotient_dim=quotient,
         irreducible_count=irreducible,
@@ -515,8 +511,9 @@ def spanning_rank(r: int, n: int) -> int:
     keep content, so the rank is summed over content blocks.  The rows
     are the memo's normal forms as they are, with (top, bottom) columns.
     """
-    words, _, _, blocks = _blocks(r, n)
+    table = _Degree(r, n)
+    words = table.words
     return sum(
         rank([_leftmost_nf((words[t], words[b]), SYSTEM_S) for t in ts for b in bs])
-        for *_, ts, bs in blocks
+        for *_, ts, bs in table.blocks()
     )

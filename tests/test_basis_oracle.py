@@ -28,11 +28,9 @@ from rightq import (
     spanning_rank,
 )
 from rightq.basis_oracle import (
-    _RelationRows,
+    _Degree,
     _block_ranks,
-    _blocks,
     _closed_form,
-    _column_keys,
     _measure_priority,
     _relation_blocks,
     _relation_stencil,
@@ -252,8 +250,11 @@ def test_spanning_rank_budget_guard():
         enumerate_biwords(2, 11)
     with pytest.raises(ValueError) as count:
         count_irreducible(2, 11)
+    with pytest.raises(ValueError) as priority:
+        _measure_priority(2, 11)
     assert str(spanning.value) == str(dimension.value) == str(matrix.value)
     assert str(biwords.value) == str(count.value) == str(matrix.value)
+    assert str(priority.value) == str(matrix.value)
     assert "4194304 columns, over the budget of 1000000" in str(spanning.value)
 
 
@@ -278,7 +279,14 @@ def test_float_q_rejected():
 
 
 @pytest.mark.parametrize(
-    "fn", [relation_matrix, spanning_rank, enumerate_biwords, count_irreducible]
+    "fn",
+    [
+        relation_matrix,
+        spanning_rank,
+        enumerate_biwords,
+        count_irreducible,
+        _measure_priority,
+    ],
 )
 def test_oracle_rejects_bad_alphabet_or_degree(fn):
     with pytest.raises(ValueError, match="r must be at least 1, got 0"):
@@ -379,6 +387,33 @@ def test_relation_matrix_rows_unchanged(r, n, q):
     rows = sorted(tuple(sorted(row.items())) for row in relation_matrix(r, n, q))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == _RELATION_DIGESTS[r, n, q]
+
+
+@pytest.mark.parametrize("q", [1, Fraction(3, 5)])
+@pytest.mark.parametrize("r, n", [(2, 5), (3, 3), (3, 4)])
+def test_relation_matrix_row_order(r, n, q):
+    # Block by block, blocks in the order their contents first appear in
+    # the base-r word order, top content first; then by top word, bottom
+    # word and position.  The order sets the fill-in of ranking it whole.
+    biwords = enumerate_biwords(r, n)
+    first_seen = {}
+    for word in itertools.product(range(1, r + 1), repeat=n):
+        first_seen.setdefault(content(word), len(first_seen))
+    placed = []
+    for row in relation_matrix(r, n, q):
+        # The row's own biword has the highest measure of its columns; its
+        # position is where the other columns first differ from it.
+        w = biwords[max(row, key=lambda j: biwords[j].inv_plus())]
+        p = min(
+            i
+            for j in row
+            for i in range(n)
+            if (biwords[j].top[i], biwords[j].bottom[i]) != (w.top[i], w.bottom[i])
+        )
+        block = first_seen[content(w.top)], first_seen[content(w.bottom)]
+        placed.append((block, w.top, w.bottom, p))
+    assert placed == sorted(set(placed))
+    assert len(placed) == sum(len(bw.double_descents()) for bw in biwords)
 
 
 @pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 5), Fraction(-7, 2)])
@@ -482,10 +517,13 @@ def test_check_basis_dimension_ranks_once_per_mirror_pair(
     # Each ranked block eliminates only its overlap rows, against leftmost
     # rows built on demand: 96 rows at r = 3, n = 4, and none at r = 2,
     # where no two double descents are adjacent.  No overlap row leaves
-    # a remainder, so no block adds an extra pivot.
+    # a remainder, so no block adds an extra pivot.  _Degree.rows, which
+    # builds the key and swap tables, runs once, and only if a row is built.
     whole = rank(relation_matrix(r, n), _measure_priority(r, n))
     eliminated = []
     eliminate = basis_oracle._eliminate
+    rows_calls = []
+    degree_rows = _Degree.rows
 
     def counted(rows, pivots, key=None, lookup=None):
         rows = list(rows)
@@ -493,11 +531,17 @@ def test_check_basis_dimension_ranks_once_per_mirror_pair(
         eliminated.append((len(rows), extra))
         return extra
 
+    def counted_rows(table, q):
+        rows_calls.append(q)
+        return degree_rows(table, q)
+
     monkeypatch.setattr(basis_oracle, "_eliminate", counted)
+    monkeypatch.setattr(_Degree, "rows", counted_rows)
     report = check_basis_dimension(r, n)
     assert len(eliminated) == blocks
     assert sum(size for size, _ in eliminated) == overlap_rows
     assert not any(extra for _, extra in eliminated)
+    assert len(rows_calls) == (overlap_rows > 0)
     assert report.relation_rank == whole
     assert report.match
 
@@ -566,15 +610,16 @@ def block_ranks(r, n, q):
     """Each block's rank from all of its relation rows."""
     return [
         (alpha, beta, rank(rows))
-        for alpha, beta, _, rows in _relation_blocks(*_blocks(r, n), q)
+        for alpha, beta, rows in _relation_blocks(_Degree(r, n), q)
     ]
 
 
 def overlap_ranks(r, n, q):
     """Each block's reducible count plus the rank its overlap rows add."""
+    table = _Degree(r, n)
     return [
         (alpha, beta, reducible + extra)
-        for alpha, beta, _, reducible, extra in _block_ranks(*_blocks(r, n), q)
+        for alpha, beta, _, reducible, extra in _block_ranks(table, table.blocks(), q)
     ]
 
 
@@ -619,15 +664,16 @@ def test_leftmost_row_built_from_a_lead_key_is_the_relation_row(r, n, q):
     # A reducible biword has a positive measure, so its pivot key is
     # negative, and the decode takes j = key mod r^(2n) and
     # (top, bottom) = divmod(j, r^n).
-    words, tops, bottoms = _column_keys(r, n)
-    rows = _RelationRows(words, tops, bottoms, q)
+    table = _Degree(r, n)
+    words, (tops, bottoms) = table.words, table.keys
+    _, leftmost = table.rows(q)
     stencil = _relation_stencil(q)
     size = len(words)
     built = 0
     for t, top in enumerate(words):
         for b, bottom in enumerate(words):
             key = tops[t] + bottoms[b]
-            row = rows.leftmost(key)
+            row = leftmost(key)
             descents = [
                 i
                 for i in range(n - 1)
@@ -647,7 +693,8 @@ def test_leftmost_row_built_from_a_lead_key_is_the_relation_row(r, n, q):
 
 
 def extra_pivots(r, n, q):
-    return [extra for *_, extra in _block_ranks(*_blocks(r, n), q)]
+    table = _Degree(r, n)
+    return [extra for *_, extra in _block_ranks(table, table.blocks(), q)]
 
 
 @pytest.mark.parametrize("name", list(WRONG_RULES))

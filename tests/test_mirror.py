@@ -28,7 +28,7 @@ from rightq import (
     rank,
     reduce,
 )
-from rightq.basis_oracle import _blocks, _relation_blocks
+from rightq.basis_oracle import _Degree, _relation_blocks
 
 # (alphabet size, longest length): 12,842 biwords in all
 _CASES = [(2, 6), (3, 4)]
@@ -107,7 +107,7 @@ def test_each_basis_block_has_its_mirrors_rank(r, n, q):
     # (alpha reversed, beta reversed), relation rows onto relation rows.
     ranks = {
         (alpha, beta): rank(rows)
-        for alpha, beta, _, rows in _relation_blocks(*_blocks(r, n), q)
+        for alpha, beta, rows in _relation_blocks(_Degree(r, n), q)
     }
     for (alpha, beta), block_rank in ranks.items():
         assert ranks[alpha[::-1], beta[::-1]] == block_rank
